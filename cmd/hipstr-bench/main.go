@@ -68,9 +68,8 @@ func main() {
 	s.Parallel = *parallel
 	tel := hipstr.NewTelemetry()
 	s.Telemetry = tel
-	var spans *hipstr.SpanTracer
 	if *timelineOut != "" || *listen != "" {
-		spans = tel.EnableSpans(0)
+		tel.EnableSpans(0)
 	}
 
 	// Ctrl-C cancels mid-sweep: in-flight cells finish, the rest are
@@ -84,8 +83,7 @@ func main() {
 	if *listen != "" {
 		srv, err := hipstr.NewObservabilityServer(*listen, hipstr.ObservabilityOptions{
 			Snapshot: func() (hipstr.MetricsSnapshot, bool) { return tel.Snapshot(), true },
-			Tracer:   tel.Trace,
-			Spans:    spans,
+			Trace:    tel.Trace,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -122,14 +120,14 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := hipstr.WriteChromeTrace(f, spans.Spans(), nil); err != nil {
+		if err := hipstr.WriteChromeTrace(f, tel.Trace.Records()); err != nil {
 			log.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Fprintf(w, "timeline written to %s (%d spans; open in ui.perfetto.dev)\n",
-			*timelineOut, spans.Completed())
+		fmt.Fprintf(w, "timeline written to %s (%d records; open in ui.perfetto.dev)\n",
+			*timelineOut, tel.Trace.Recorded())
 	}
 	if *metricsOut != "" {
 		f, err := os.Create(*metricsOut)

@@ -130,7 +130,7 @@ func main() {
 		}
 		opts := obsrv.Options{
 			Snapshot: snapFn,
-			Tracer:   h.Telemetry().Trace,
+			Trace:    h.Telemetry().Trace,
 			Tenants:  h,
 			Health: func() string {
 				a := h.Aggregates()

@@ -50,8 +50,8 @@ func summarizeIncidents(dir string, w io.Writer) error {
 		fmt.Fprintf(w, "%-4d %-24s %-6s %-9s %10s %12.1f  %s\n",
 			inc.ID, inc.Rule.Name, inc.Severity, state, dur, inc.Peak,
 			offenderLine(inc.Offenders))
-		fmt.Fprintf(w, "     %s; %d window points, %d events, %d spans\n",
-			inc.Rule.Condition(), len(inc.Window), len(inc.Events), len(inc.Spans))
+		fmt.Fprintf(w, "     %s; %d window points, %d trace records\n",
+			inc.Rule.Condition(), len(inc.Window), len(inc.Events))
 	}
 	return nil
 }

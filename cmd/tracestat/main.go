@@ -1,11 +1,14 @@
-// Command tracestat post-processes a -trace-out JSONL event stream (from
+// Command tracestat post-processes a -trace-out JSONL trace stream (from
 // hipstr-run or hipstr-bench) into per-phase and per-event-type breakdowns.
 //
-// Phase events (type "phase") partition the stream: every event up to and
-// including a phase boundary is attributed to that phase (the boundary's
-// Detail, e.g. "write 3"); events after the last boundary land in "(tail)",
-// and a trace with no phase events is one "(run)" phase. The phase event's
-// Cost is the cycles accumulated in the closing phase.
+// Every line is one telemetry.Record. Point events ("kind":"event")
+// feed the event tables: phase points (name "phase") partition the
+// stream, every point up to and including a phase boundary being
+// attributed to that phase (the boundary's Detail, e.g. "write 3");
+// points after the last boundary land in "(tail)", and a trace with no
+// phase points is one "(run)" phase. A point's cost is its modeled cost
+// in microseconds, or for a phase point the guest cycles accumulated in
+// the closing phase.
 //
 // With -folded, tracestat also writes flamegraph-style folded stacks, one
 // "phase;event-type;isa weight" line per aggregate, ready for standard
@@ -13,11 +16,11 @@
 // so costed events (translation latency, migration cost, phase cycles)
 // dominate the graph while cost-less events still appear.
 //
-// Traces recorded with span tracing enabled mix span records (lines with
-// "kind":"span") into the event stream. tracestat separates them out,
-// prints a per-span-phase duration table (count, wall-clock, guest
-// cycles, modeled cost), and with -chrome re-exports the whole trace as
-// Chrome trace-event JSON loadable in ui.perfetto.dev.
+// Traces recorded with span recording on also carry span records
+// ("kind":"span"). tracestat prints a per-span-phase duration table
+// (count, wall-clock, guest cycles, modeled cost), and with -chrome
+// re-exports the whole trace as Chrome trace-event JSON loadable in
+// ui.perfetto.dev.
 //
 // With -incidents, tracestat instead summarizes a health-engine
 // -incident-dir of flight-recorder bundles: one row per incident with
@@ -33,7 +36,6 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -77,11 +79,19 @@ func main() {
 		os.Exit(2)
 	}
 
-	events, spans, err := readTrace(flag.Arg(0))
+	recs, err := readTrace(flag.Arg(0))
 	if err != nil {
 		log.Fatal(err)
 	}
-	if len(events) == 0 && len(spans) == 0 {
+	var events, spans []telemetry.Record
+	for _, r := range recs {
+		if r.Kind == telemetry.KindSpan {
+			spans = append(spans, r)
+		} else {
+			events = append(events, r)
+		}
+	}
+	if len(recs) == 0 {
 		// An empty trace is a normal artifact of a run that emitted no
 		// events (or was cut before any): report it clearly, emit the
 		// zero-row tables so pipelines keep working, and exit 0.
@@ -95,7 +105,7 @@ func main() {
 	cells := map[key]*agg{}
 	var phaseOrder []string
 	for i, e := range events {
-		typ := string(e.Type)
+		typ := e.Name
 		accumulate(byType, typ, e)
 		ph := phases[i]
 		if _, seen := byPhase[ph]; !seen {
@@ -109,7 +119,7 @@ func main() {
 			cells[k] = c
 		}
 		c.count++
-		c.cost += e.Cost
+		c.cost += cost(e)
 	}
 
 	printTypeTable(byType, len(events))
@@ -125,7 +135,7 @@ func main() {
 		fmt.Printf("folded stacks written to %s (%d rows)\n", *folded, len(cells))
 	}
 	if *chrome != "" {
-		if err := writeChrome(*chrome, spans, events); err != nil {
+		if err := writeChrome(*chrome, recs); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("chrome trace written to %s (%d spans, %d events; open in ui.perfetto.dev)\n",
@@ -133,94 +143,52 @@ func main() {
 	}
 }
 
-func accumulate(m map[string]*agg, k string, e telemetry.Event) {
+func accumulate(m map[string]*agg, k string, e telemetry.Record) {
 	a := m[k]
 	if a == nil {
 		a = &agg{}
 		m[k] = a
 	}
 	a.count++
-	a.cost += e.Cost
+	a.cost += cost(e)
 }
 
-// readTrace parses one record per line — a telemetry.SpanEvent when the
-// line carries the "kind":"span" discriminator, a telemetry.Event
-// otherwise — skipping blank lines. A line that fails to parse is held
-// back rather than failing immediately: if it turns out to be the final
-// line of the stream it is the usual signature of a trace cut mid-write
-// (the emitting process was killed), so it is dropped with a warning; an
-// unparsable line followed by more data is genuine corruption and stays
-// fatal.
-func readTrace(path string) ([]telemetry.Event, []telemetry.SpanEvent, error) {
+// cost is a point's weight: its modeled microseconds, or a phase point's
+// guest cycles.
+func cost(e telemetry.Record) float64 { return e.CostUS + e.DurCycles }
+
+// readTrace reads a JSONL trace file ("-" for stdin) with
+// telemetry.ReadJSONL. A truncated final record — a trace cut mid-write —
+// is dropped with a warning; corruption mid-stream is fatal.
+func readTrace(path string) ([]telemetry.Record, error) {
 	var r io.Reader = os.Stdin
 	if path != "-" {
 		f, err := os.Open(path)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		defer f.Close()
 		r = f
 	}
-	var events []telemetry.Event
-	var spans []telemetry.SpanEvent
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	line := 0
-	var pendingErr error
-	pendingLine := 0
-	for sc.Scan() {
-		line++
-		b := sc.Bytes()
-		if len(b) == 0 {
-			continue
-		}
-		if pendingErr != nil {
-			return nil, nil, pendingErr
-		}
-		var probe struct {
-			Kind string `json:"kind"`
-		}
-		if err := json.Unmarshal(b, &probe); err != nil {
-			pendingErr = fmt.Errorf("%s:%d: %w", path, line, err)
-			pendingLine = line
-			continue
-		}
-		if probe.Kind == "span" {
-			var s telemetry.SpanEvent
-			if err := json.Unmarshal(b, &s); err != nil {
-				pendingErr = fmt.Errorf("%s:%d: %w", path, line, err)
-				pendingLine = line
-				continue
-			}
-			spans = append(spans, s)
-			continue
-		}
-		var e telemetry.Event
-		if err := json.Unmarshal(b, &e); err != nil {
-			pendingErr = fmt.Errorf("%s:%d: %w", path, line, err)
-			pendingLine = line
-			continue
-		}
-		events = append(events, e)
+	recs, cut, err := telemetry.ReadJSONL(r)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, nil, err
+	if cut > 0 {
+		log.Printf("warning: dropping truncated trailing record at %s:%d", path, cut)
 	}
-	if pendingErr != nil {
-		log.Printf("warning: dropping truncated trailing record at %s:%d", path, pendingLine)
-	}
-	return events, spans, nil
+	return recs, nil
 }
 
 // assignPhases labels each event with the phase that closes at or after it.
 // The tracer's ring buffer may have rotated early events out, so boundaries
-// are located by position in the retained stream, not by Seq.
-func assignPhases(events []telemetry.Event) []string {
+// are located by position in the retained stream, not by ID.
+func assignPhases(events []telemetry.Record) []string {
 	labels := make([]string, len(events))
 	start := 0
 	anyPhase := false
 	for i, e := range events {
-		if e.Type != telemetry.EvPhase {
+		if e.Name != telemetry.EvPhase {
 			continue
 		}
 		anyPhase = true
@@ -294,7 +262,7 @@ func printPhaseTable(byPhase map[string]*agg, order []string, top int) {
 // span phase — "migrate/rat-rebuild", "dbt/translate", ...) and prints
 // counts with totals in all three span domains: wall clock, guest
 // cycles, and modeled cost.
-func printSpanTable(spans []telemetry.SpanEvent) {
+func printSpanTable(spans []telemetry.Record) {
 	type srow struct {
 		count  uint64
 		wallNS int64
@@ -341,12 +309,12 @@ func printSpanTable(spans []telemetry.SpanEvent) {
 }
 
 // writeChrome re-exports the trace in the Chrome trace-event format.
-func writeChrome(path string, spans []telemetry.SpanEvent, events []telemetry.Event) error {
+func writeChrome(path string, recs []telemetry.Record) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := telemetry.WriteChromeTrace(f, spans, events); err != nil {
+	if err := telemetry.WriteChromeTrace(f, recs); err != nil {
 		f.Close()
 		return err
 	}

@@ -174,7 +174,7 @@ func SharedUnitCache() SharedUnitCacheStats { return dbt.SharedUnits.Stats() }
 
 // Telemetry is the unified observability unit every System carries: a
 // hierarchical metrics registry (counters, gauges, log-bucketed
-// histograms) plus a structured event tracer with pluggable sinks.
+// histograms) plus one tracer for the trace stream, with pluggable sinks.
 // Access it through System.Telemetry(), or create one with NewTelemetry
 // and inject it via Config.DBT.Telemetry to share a registry across
 // subsystems or attach trace sinks before boot.
@@ -184,41 +184,30 @@ type Telemetry = telemetry.Telemetry
 // semantics and JSON export.
 type MetricsSnapshot = telemetry.Snapshot
 
-// TraceEvent is one structured runtime event (translation, cache flush,
-// RAT miss, security event, policy decision, migration begin/end, ...).
-type TraceEvent = telemetry.Event
+// TraceRecord is one record of the trace stream: a point event
+// (translation, cache flush, RAT miss, security event, policy decision,
+// migration begin/end, ...) or, with span recording on, a completed span
+// carrying wall-clock and guest-cycle durations plus modeled cost.
+type TraceRecord = telemetry.Record
 
-// TraceSink receives every trace event as it is emitted.
+// Tracer records the trace stream into a bounded ring with sink fan-out;
+// a Telemetry's EnableSpans method turns on span recording.
+type Tracer = telemetry.Tracer
+
+// TraceSink receives every trace record as it is recorded.
 type TraceSink = telemetry.Sink
 
-// Span is one in-flight trace span; the zero Span is valid and inert, so
-// instrumentation sites need no enabled/disabled branches.
-type Span = telemetry.Span
-
-// SpanEvent is one completed span record, carrying wall-clock and
-// guest-cycle durations plus the modeled cost attributed to the span.
-type SpanEvent = telemetry.SpanEvent
-
-// SpanTracer records completed spans into a bounded ring with sink
-// fan-out; enable one on a Telemetry via its EnableSpans method.
-type SpanTracer = telemetry.SpanTracer
-
-// WriteChromeTrace writes spans (plus optional point events) as Chrome
-// trace-event JSON, loadable in ui.perfetto.dev or chrome://tracing.
-func WriteChromeTrace(w io.Writer, spans []SpanEvent, events []TraceEvent) error {
-	return telemetry.WriteChromeTrace(w, spans, events)
+// WriteChromeTrace writes trace records as Chrome trace-event JSON,
+// loadable in ui.perfetto.dev or chrome://tracing.
+func WriteChromeTrace(w io.Writer, records []TraceRecord) error {
+	return telemetry.WriteChromeTrace(w, records)
 }
 
-// NewTelemetry returns a fresh metrics registry + event tracer pair.
+// NewTelemetry returns a fresh metrics registry + tracer pair.
 func NewTelemetry() *Telemetry { return telemetry.New() }
 
-// NewSpanJSONLSink returns a span sink writing one JSON object per
-// completed span to w; the "kind":"span" field keeps span lines
-// distinguishable from point events sharing the stream.
-func NewSpanJSONLSink(w io.Writer) *telemetry.SpanJSONLSink { return telemetry.NewSpanJSONLSink(w) }
-
-// NewJSONLTraceSink returns a sink writing one JSON object per event to w;
-// attach it with tel.Trace.AddSink.
+// NewJSONLTraceSink returns a sink writing one JSON object per record to
+// w; attach it with tel.Trace.AddSink.
 func NewJSONLTraceSink(w io.Writer) *telemetry.JSONLSink { return telemetry.NewJSONLSink(w) }
 
 // Profiler is the guest-cycle sampling profiler: it attributes simulated

@@ -88,7 +88,7 @@ func New(bin *fatbin.Binary, cfg Config) (*System, error) {
 	return s, nil
 }
 
-// Telemetry returns the system-wide metrics registry and event tracer.
+// Telemetry returns the system-wide metrics registry and tracer.
 func (s *System) Telemetry() *telemetry.Telemetry { return s.tel }
 
 // Run executes up to maxSteps instructions.
@@ -109,8 +109,8 @@ func (s *System) Active() isa.Kind { return s.VM.Active() }
 func (s *System) RequestPhaseMigration() {
 	if s.Engine != nil {
 		s.VM.PendingMigration = true
-		s.tel.Emit(telemetry.Event{
-			Type: telemetry.EvPolicy, ISA: s.Active().String(),
+		s.tel.Emit(telemetry.Record{
+			Name: telemetry.EvPolicy, ISA: s.Active().String(),
 			Detail: "phase-migration-request",
 		})
 	}
@@ -123,8 +123,8 @@ func (s *System) RequestPhaseMigration() {
 // the paper's PSR re-randomizes, which is the property captured here).
 func (s *System) Respawn() error {
 	s.respawns++
-	s.tel.Emit(telemetry.Event{
-		Type: telemetry.EvRespawn, ISA: s.Cfg.StartISA.String(),
+	s.tel.Emit(telemetry.Record{
+		Name: telemetry.EvRespawn, ISA: s.Cfg.StartISA.String(),
 		Detail: fmt.Sprintf("respawn %d", s.respawns),
 	})
 	s.tel.Gauge("core.respawns").Set(float64(s.respawns))

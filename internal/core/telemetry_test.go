@@ -49,11 +49,11 @@ func TestSystemTelemetry(t *testing.T) {
 			hist.Count+histARM.Count, s.Engine.Stats.Migrations)
 	}
 	if s.Migrations() > 0 {
-		found := map[telemetry.EventType]bool{}
-		for _, e := range s.Telemetry().Trace.Events() {
-			found[e.Type] = true
+		found := map[string]bool{}
+		for _, e := range s.Telemetry().Trace.Records() {
+			found[e.Name] = true
 		}
-		for _, want := range []telemetry.EventType{
+		for _, want := range []string{
 			telemetry.EvSecurity, telemetry.EvPolicy,
 			telemetry.EvMigrateBegin, telemetry.EvMigrateEnd,
 		} {
@@ -79,8 +79,8 @@ func TestRespawnEmitsEvent(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sawRespawn bool
-	for _, e := range s.Telemetry().Trace.Events() {
-		if e.Type == telemetry.EvRespawn {
+	for _, e := range s.Telemetry().Trace.Records() {
+		if e.Name == telemetry.EvRespawn {
 			sawRespawn = true
 		}
 	}

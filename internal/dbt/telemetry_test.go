@@ -73,14 +73,14 @@ func TestTelemetryMatchesStats(t *testing.T) {
 	}
 	// Trace must carry translate events — as many as units were committed.
 	var translateEvents uint64
-	for _, e := range tel.Trace.Events() {
-		if e.Type == telemetry.EvTranslate {
+	for _, e := range tel.Trace.Records() {
+		if e.Name == telemetry.EvTranslate {
 			translateEvents++
 		}
 	}
 	total := st.Translations[isa.X86] + st.Translations[isa.ARM]
-	if tel.Trace.Emitted() < total {
-		t.Fatalf("trace emitted %d events, want >= %d translations", tel.Trace.Emitted(), total)
+	if tel.Trace.Recorded() < total {
+		t.Fatalf("trace recorded %d events, want >= %d translations", tel.Trace.Recorded(), total)
 	}
 	if translateEvents == 0 {
 		t.Fatal("no translate events in ring")

@@ -49,7 +49,7 @@ type Config struct {
 	// shared one so the DBT, migration engine, and timing model report
 	// into a single registry.
 	Telemetry *telemetry.Telemetry
-	// TraceCap bounds the event tracer's ring buffer when the VM creates
+	// TraceCap bounds the tracer's ring buffer when the VM creates
 	// its own Telemetry (long-run trace analysis without a sink needs a
 	// deeper ring). Zero or negative selects telemetry.DefaultTraceCap;
 	// ignored when Telemetry is injected.
@@ -291,7 +291,7 @@ func (vm *VM) Cache(k isa.Kind) *CodeCache { return vm.caches[k] }
 // RAT returns the return address table of ISA k.
 func (vm *VM) RATOf(k isa.Kind) *RAT { return vm.rats[k] }
 
-// Telemetry returns the VM's metrics registry and event tracer.
+// Telemetry returns the VM's metrics registry and tracer.
 func (vm *VM) Telemetry() *telemetry.Telemetry { return vm.tel }
 
 // ResolvePC maps an executing PC on ISA k to the guest source address it
@@ -421,13 +421,11 @@ func (vm *VM) mapOf(fn *fatbin.FuncMeta) [2]*psr.Map {
 }
 
 func (vm *VM) flush(k isa.Kind) {
+	detail := fmt.Sprintf("%d units evicted", vm.caches[k].NumUnits())
 	sp := vm.tel.StartSpan("dbt", "cache-flush")
 	sp.SetISA(k.String())
-	sp.SetDetail(fmt.Sprintf("%d units evicted", vm.caches[k].NumUnits()))
-	vm.tel.Emit(telemetry.Event{
-		Type: telemetry.EvCacheFlush, ISA: k.String(),
-		Detail: fmt.Sprintf("%d units evicted", vm.caches[k].NumUnits()),
-	})
+	sp.SetDetail(detail)
+	vm.tel.Emit(telemetry.Record{Name: telemetry.EvCacheFlush, ISA: k.String(), Detail: detail})
 	vm.caches[k].Flush()
 	vm.rats[k].Flush()
 	vm.traps[k] = make(map[uint32]trapMeta)
@@ -503,8 +501,8 @@ func (vm *VM) translate(k isa.Kind, src uint32) (uint32, error) {
 				us := float64(time.Since(start)) / float64(time.Microsecond)
 				vm.histTranslate[k].Observe(us)
 				vm.histUnitBytes[k].Observe(float64(len(u.code)))
-				vm.tel.Emit(telemetry.Event{
-					Type: telemetry.EvTranslate, ISA: k.String(), Addr: src, Cost: us,
+				vm.tel.Emit(telemetry.Record{
+					Name: telemetry.EvTranslate, ISA: k.String(), Addr: src, CostUS: us,
 					Detail: fmt.Sprintf("%d bytes (shared)", len(u.code)),
 				})
 				if sp.Active() {
@@ -577,8 +575,8 @@ func (vm *VM) translate(k isa.Kind, src uint32) (uint32, error) {
 		us := float64(time.Since(start)) / float64(time.Microsecond)
 		vm.histTranslate[k].Observe(us)
 		vm.histUnitBytes[k].Observe(float64(len(code)))
-		vm.tel.Emit(telemetry.Event{
-			Type: telemetry.EvTranslate, ISA: k.String(), Addr: src, Cost: us,
+		vm.tel.Emit(telemetry.Record{
+			Name: telemetry.EvTranslate, ISA: k.String(), Addr: src, CostUS: us,
 			Detail: fmt.Sprintf("%d bytes", len(code)),
 		})
 		vm.saveScratch(t)
@@ -625,8 +623,8 @@ func (vm *VM) onControl(m *machine.Machine, in *isa.Inst, kind machine.ControlKi
 			if vm.Migrator.Migrate(vm, target, true) {
 				vm.PendingMigration = false
 				vm.Stats.Migrations++
-				vm.tel.Emit(telemetry.Event{
-					Type: telemetry.EvPolicy, ISA: vm.P.M.ISA.String(), Addr: target,
+				vm.tel.Emit(telemetry.Record{
+					Name: telemetry.EvPolicy, ISA: vm.P.M.ISA.String(), Addr: target,
 					Detail: "phase-migrate",
 				})
 				return vm.P.M.PC, retAddr, nil
@@ -640,7 +638,7 @@ func (vm *VM) onControl(m *machine.Machine, in *isa.Inst, kind machine.ControlKi
 		// distinguish (paper §3.5): this is a code-cache-miss security
 		// event.
 		vm.Stats.ReturnMisses++
-		vm.tel.Emit(telemetry.Event{Type: telemetry.EvRATMiss, ISA: k.String(), Addr: target})
+		vm.tel.Emit(telemetry.Record{Name: telemetry.EvRATMiss, ISA: k.String(), Addr: target})
 		newPC, err := vm.securityEvent(k, target, true)
 		if err != nil {
 			return 0, 0, err
@@ -680,7 +678,7 @@ func (vm *VM) securityEvent(k isa.Kind, srcTarget uint32, returnBoundary bool) (
 	vm.Stats.CodeCacheMisses++
 	vm.Stats.SecurityEvents++
 	vm.LastEventTarget = srcTarget
-	vm.tel.Emit(telemetry.Event{Type: telemetry.EvSecurity, ISA: k.String(), Addr: srcTarget})
+	vm.tel.Emit(telemetry.Record{Name: telemetry.EvSecurity, ISA: k.String(), Addr: srcTarget})
 	srcTarget, k2, err := vm.securityEventNormalize(k, srcTarget)
 	if err != nil {
 		return 0, err
@@ -688,8 +686,8 @@ func (vm *VM) securityEvent(k isa.Kind, srcTarget uint32, returnBoundary bool) (
 	k = k2
 	if vm.Migrator != nil {
 		if vm.policyRng.Float64() < vm.Cfg.MigrateProb {
-			vm.tel.Emit(telemetry.Event{
-				Type: telemetry.EvPolicy, ISA: k.String(), Addr: srcTarget,
+			vm.tel.Emit(telemetry.Record{
+				Name: telemetry.EvPolicy, ISA: k.String(), Addr: srcTarget,
 				Detail: "security-migrate",
 			})
 			if vm.Migrator.Migrate(vm, srcTarget, returnBoundary) {
@@ -698,8 +696,8 @@ func (vm *VM) securityEvent(k isa.Kind, srcTarget uint32, returnBoundary bool) (
 				return vm.P.M.PC, nil
 			}
 		} else {
-			vm.tel.Emit(telemetry.Event{
-				Type: telemetry.EvPolicy, ISA: k.String(), Addr: srcTarget,
+			vm.tel.Emit(telemetry.Record{
+				Name: telemetry.EvPolicy, ISA: k.String(), Addr: srcTarget,
 				Detail: "stay",
 			})
 		}
@@ -724,8 +722,8 @@ func (vm *VM) securityEventNormalize(k isa.Kind, srcTarget uint32) (uint32, isa.
 	t2, k2, err := vm.normalizeCodeAddr(k, srcTarget)
 	if err != nil {
 		vm.Stats.Kills++
-		vm.tel.Emit(telemetry.Event{
-			Type: telemetry.EvKill, ISA: k.String(), Addr: srcTarget, Detail: err.Error(),
+		vm.tel.Emit(telemetry.Record{
+			Name: telemetry.EvKill, ISA: k.String(), Addr: srcTarget, Detail: err.Error(),
 		})
 		return 0, k, err
 	}
@@ -740,8 +738,8 @@ func (vm *VM) normalizeCodeAddr(k isa.Kind, addr uint32) (uint32, isa.Kind, erro
 	for _, kk := range isa.Kinds {
 		if vm.caches[kk].Contains(addr) {
 			vm.Stats.Kills++
-			vm.tel.Emit(telemetry.Event{
-				Type: telemetry.EvKill, ISA: k.String(), Addr: addr,
+			vm.tel.Emit(telemetry.Record{
+				Name: telemetry.EvKill, ISA: k.String(), Addr: addr,
 				Detail: "indirect transfer into code cache",
 			})
 			return 0, k, fmt.Errorf("%w: indirect transfer into code cache at %#x", ErrSecurityKill, addr)
@@ -785,8 +783,8 @@ func (vm *VM) onSyscall(m *machine.Machine, vector int32) error {
 		switch vector {
 		case vecKill:
 			vm.Stats.Kills++
-			vm.tel.Emit(telemetry.Event{
-				Type: telemetry.EvKill, ISA: k.String(), Addr: key,
+			vm.tel.Emit(telemetry.Record{
+				Name: telemetry.EvKill, ISA: k.String(), Addr: key,
 				Detail: "untranslatable code reached",
 			})
 			return fmt.Errorf("%w: untranslatable code reached (trap at %#x)", ErrSecurityKill, key)
@@ -865,12 +863,12 @@ func (vm *VM) handleIndirect(m *machine.Machine, k isa.Kind, meta *trapMeta) err
 	if !hit {
 		vm.Stats.CodeCacheMisses++
 		vm.Stats.SecurityEvents++
-		vm.tel.Emit(telemetry.Event{Type: telemetry.EvSecurity, ISA: k.String(), Addr: target})
+		vm.tel.Emit(telemetry.Record{Name: telemetry.EvSecurity, ISA: k.String(), Addr: target})
 		cacheAddr, err = vm.require(k, target, true)
 		if err != nil {
 			vm.Stats.Kills++
-			vm.tel.Emit(telemetry.Event{
-				Type: telemetry.EvKill, ISA: k.String(), Addr: target, Detail: err.Error(),
+			vm.tel.Emit(telemetry.Record{
+				Name: telemetry.EvKill, ISA: k.String(), Addr: target, Detail: err.Error(),
 			})
 			return fmt.Errorf("%w: %v", ErrSecurityKill, err)
 		}
@@ -914,8 +912,8 @@ func (vm *VM) handleIndirect(m *machine.Machine, k isa.Kind, meta *trapMeta) err
 	// entry boundary.
 	if !hit && vm.Migrator != nil {
 		if vm.policyRng.Float64() < vm.Cfg.MigrateProb {
-			vm.tel.Emit(telemetry.Event{
-				Type: telemetry.EvPolicy, ISA: k.String(), Addr: target,
+			vm.tel.Emit(telemetry.Record{
+				Name: telemetry.EvPolicy, ISA: k.String(), Addr: target,
 				Detail: "security-migrate-entry",
 			})
 			if vm.Migrator.MigrateEntry(vm, target) {
@@ -923,8 +921,8 @@ func (vm *VM) handleIndirect(m *machine.Machine, k isa.Kind, meta *trapMeta) err
 				vm.Stats.SecurityMigrations++
 			}
 		} else {
-			vm.tel.Emit(telemetry.Event{
-				Type: telemetry.EvPolicy, ISA: k.String(), Addr: target,
+			vm.tel.Emit(telemetry.Record{
+				Name: telemetry.EvPolicy, ISA: k.String(), Addr: target,
 				Detail: "stay",
 			})
 		}
@@ -952,7 +950,7 @@ func (vm *VM) handlePopPC(m *machine.Machine, k isa.Kind) error {
 		return nil
 	}
 	vm.Stats.ReturnMisses++
-	vm.tel.Emit(telemetry.Event{Type: telemetry.EvRATMiss, ISA: k.String(), Addr: srcRet})
+	vm.tel.Emit(telemetry.Record{Name: telemetry.EvRATMiss, ISA: k.String(), Addr: srcRet})
 	newPC, err := vm.securityEvent(k, srcRet, true)
 	if err != nil {
 		return err

@@ -105,10 +105,6 @@ type Config struct {
 	// exists because series are gauges that live forever in the
 	// registry; a million-tenant run must not grow it unbounded.
 	PerTenantSeries int
-	// TenantTraceCap bounds each tenant's private event ring (0 = 256).
-	// Events are ~80 B; the default keeps a 1000-tenant fleet's tracer
-	// footprint around 20 MB instead of 300+.
-	TenantTraceCap int
 	// Telemetry receives fleet aggregates (nil = private instance).
 	Telemetry *telemetry.Telemetry
 }
@@ -285,9 +281,6 @@ func NewHost(cfg Config) *Host {
 	if cfg.PerTenantSeries == 0 {
 		cfg.PerTenantSeries = 64
 	}
-	if cfg.TenantTraceCap <= 0 {
-		cfg.TenantTraceCap = 256
-	}
 	tel := cfg.Telemetry
 	if tel == nil {
 		tel = telemetry.New()
@@ -346,10 +339,15 @@ func (h *Host) MarkReady() { h.ready.Store(true) }
 // Ready reports whether the host's prototypes are warmed (MarkReady).
 func (h *Host) Ready() bool { return h.ready.Load() }
 
+// tenantTraceCap bounds each tenant's private trace ring: records are
+// ~150 B, so the bound keeps a 1000-tenant fleet's rings under 40 MB
+// instead of the 600 MB the default ring would allow.
+const tenantTraceCap = 256
+
 // forkConfig is the per-tenant fork envelope: private telemetry with a
-// small event ring (the fleet-scale memory bound).
+// small trace ring (the fleet-scale memory bound).
 func (h *Host) forkConfig() dbt.ForkConfig {
-	return dbt.ForkConfig{TraceCap: h.cfg.TenantTraceCap}
+	return dbt.ForkConfig{TraceCap: tenantTraceCap}
 }
 
 // protoConfig builds the boot config for a workload prototype.
@@ -357,7 +355,7 @@ func (h *Host) protoConfig(prof workload.Profile) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Mode = h.cfg.Mode
 	cfg.DBT.Seed = h.cfg.Seed ^ prof.Seed<<16
-	cfg.DBT.TraceCap = h.cfg.TenantTraceCap
+	cfg.DBT.TraceCap = tenantTraceCap
 	if q := h.cfg.Policy.CacheQuotaBytes; q > 0 {
 		cfg.DBT.CodeCacheSize = q
 	}
@@ -587,8 +585,8 @@ func (h *Host) breachLocked(t *Tenant, reason string) bool {
 	// The event tap: breaches, respawns, and kills land in the aggregate
 	// trace ring so /events and incident flight-recorder bundles carry
 	// the per-tenant context of a storm, not just its counters.
-	h.tel.Emit(telemetry.Event{
-		Type:   telemetry.EvSecurity,
+	h.tel.Emit(telemetry.Record{
+		Name:   telemetry.EvSecurity,
 		Detail: fmt.Sprintf("tenant %d (%s): %s", t.id, t.workload, reason),
 	})
 	if t.respawns >= t.policy.RespawnLimit {
@@ -606,8 +604,8 @@ func (h *Host) breachLocked(t *Tenant, reason string) bool {
 	t.sys = sys
 	t.lifeSteps = 0
 	h.cRespawns.Inc()
-	h.tel.Emit(telemetry.Event{
-		Type:   telemetry.EvRespawn,
+	h.tel.Emit(telemetry.Record{
+		Name:   telemetry.EvRespawn,
 		Detail: fmt.Sprintf("tenant %d (%s): life %d", t.id, t.workload, t.respawns+1),
 	})
 	return false
@@ -632,8 +630,8 @@ func (h *Host) finalizeLocked(t *Tenant, st int32, msg string) bool {
 		h.cCompleted.Inc()
 	} else {
 		h.cKilled.Inc()
-		h.tel.Emit(telemetry.Event{
-			Type:   telemetry.EvKill,
+		h.tel.Emit(telemetry.Record{
+			Name:   telemetry.EvKill,
 			Detail: fmt.Sprintf("tenant %d (%s): %s", t.id, t.workload, msg),
 		})
 	}

@@ -17,7 +17,6 @@ import (
 const (
 	DefaultMaxIncidents = 64
 	DefaultTailEvents   = 128
-	DefaultTailSpans    = 64
 	DefaultOffenderK    = 5
 )
 
@@ -48,10 +47,10 @@ type Incident struct {
 	Peak  float64 `json:"peak"`
 	// Window is the triggering series' history window at open time.
 	Window []Point `json:"window,omitempty"`
-	// Events and Spans are the most recent tracer records at open time
-	// (the flight-recorder tap).
-	Events []telemetry.Event     `json:"events,omitempty"`
-	Spans  []telemetry.SpanEvent `json:"spans,omitempty"`
+	// Events are the most recent trace records at open time (the
+	// flight-recorder tap): points and, with span recording on, spans, in
+	// stream order.
+	Events []telemetry.Record `json:"events,omitempty"`
 	// Offenders are the top tenants by the rule's offender key.
 	Offenders []Offender `json:"offenders,omitempty"`
 	// ProfileTop is the profiler's top-table text, when one is attached.
@@ -78,15 +77,12 @@ type RecorderConfig struct {
 	// MaxIncidents bounds the in-memory incident store (0 = default);
 	// the oldest resolved incidents are evicted first.
 	MaxIncidents int
-	// TailEvents / TailSpans bound the per-bundle trace captures.
+	// TailEvents bounds the per-bundle trace capture.
 	TailEvents int
-	TailSpans  int
 	// OffenderK bounds the per-bundle offender list.
 	OffenderK int
-	// Events taps the most recent n trace events (telemetry.Tracer.Tail).
-	Events func(n int) []telemetry.Event
-	// Spans taps the most recent n completed spans (SpanTracer.Tail).
-	Spans func(n int) []telemetry.SpanEvent
+	// Events taps the most recent n trace records (telemetry.Tracer.Tail).
+	Events func(n int) []telemetry.Record
 	// Tenants supplies offender candidates (the fleet host).
 	Tenants obsrv.TenantSource
 	// Profile supplies the profiler top-table text.
@@ -99,7 +95,7 @@ type RecorderConfig struct {
 	Dir string
 	// Emit, when set, receives an EvPolicy event at open and resolve so
 	// incidents surface on the live /events stream.
-	Emit func(telemetry.Event)
+	Emit func(telemetry.Record)
 }
 
 // Recorder captures, stores, and serves incidents. Open/UpdatePeak/
@@ -123,9 +119,6 @@ func NewRecorder(cfg RecorderConfig) *Recorder {
 	}
 	if cfg.TailEvents <= 0 {
 		cfg.TailEvents = DefaultTailEvents
-	}
-	if cfg.TailSpans <= 0 {
-		cfg.TailSpans = DefaultTailSpans
 	}
 	if cfg.OffenderK <= 0 {
 		cfg.OffenderK = DefaultOffenderK
@@ -156,9 +149,6 @@ func (r *Recorder) Open(rule Rule, value float64, h *History, nowNS int64) *Inci
 	if r.cfg.Events != nil {
 		inc.Events = r.cfg.Events(r.cfg.TailEvents)
 	}
-	if r.cfg.Spans != nil {
-		inc.Spans = r.cfg.Spans(r.cfg.TailSpans)
-	}
 	if r.cfg.Tenants != nil {
 		inc.Offenders = topOffenders(r.cfg.Tenants, rule.OffenderKey, r.cfg.OffenderK)
 	}
@@ -183,10 +173,10 @@ func (r *Recorder) Open(rule Rule, value float64, h *History, nowNS int64) *Inci
 
 	r.dump(inc)
 	if r.cfg.Emit != nil {
-		r.cfg.Emit(telemetry.Event{
-			Type:   telemetry.EvPolicy,
-			Cost:   value,
-			Detail: fmt.Sprintf("incident-open #%d %s: %s", inc.ID, rule.Name, rule.Condition()),
+		r.cfg.Emit(telemetry.Record{
+			Name: telemetry.EvPolicy,
+			Detail: fmt.Sprintf("incident-open #%d %s: %s (value %g)",
+				inc.ID, rule.Name, rule.Condition(), value),
 		})
 	}
 	return inc
@@ -213,8 +203,8 @@ func (r *Recorder) Resolve(inc *Incident, nowNS int64) {
 	r.mu.Unlock()
 	r.dump(inc)
 	if r.cfg.Emit != nil {
-		r.cfg.Emit(telemetry.Event{
-			Type: telemetry.EvPolicy,
+		r.cfg.Emit(telemetry.Record{
+			Name: telemetry.EvPolicy,
 			Detail: fmt.Sprintf("incident-resolve #%d %s after %v",
 				inc.ID, inc.Rule.Name, inc.Duration(nowNS).Round(time.Millisecond)),
 		})

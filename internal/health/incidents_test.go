@@ -38,7 +38,7 @@ func testTenants() *fakeTenants {
 func TestIncidentBundleCapture(t *testing.T) {
 	tel := telemetry.New()
 	for i := 0; i < 5; i++ {
-		tel.Emit(telemetry.Event{Type: telemetry.EvRespawn, Detail: "tenant"})
+		tel.Emit(telemetry.Record{Name: telemetry.EvRespawn, Detail: "tenant"})
 	}
 	rec := NewRecorder(RecorderConfig{
 		Events:     tel.Trace.Tail,
@@ -150,8 +150,8 @@ func TestRecorderArtifacts(t *testing.T) {
 }
 
 func TestIncidentEventsEmitted(t *testing.T) {
-	var events []telemetry.Event
-	rec := NewRecorder(RecorderConfig{Emit: func(e telemetry.Event) { events = append(events, e) }})
+	var events []telemetry.Record
+	rec := NewRecorder(RecorderConfig{Emit: func(e telemetry.Record) { events = append(events, e) }})
 	h := NewHistory(4, 4)
 	rule := Rule{Name: "r", Series: "g", Kind: KindThreshold, Threshold: 1}
 	inc := rec.Open(rule, 5, h, 0)
@@ -250,5 +250,24 @@ func TestMonitorSelfTelemetry(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("incident-open event not emitted to telemetry")
+	}
+}
+
+// TestIncidentBundleInterleavesSpans: with span recording on, the one
+// trace tap hands the bundle spans and points together, in stream order.
+func TestIncidentBundleInterleavesSpans(t *testing.T) {
+	tel := telemetry.New()
+	tel.EnableSpans(0)
+	sp := tel.StartSpan("fleet", "respawn")
+	tel.Emit(telemetry.Record{Name: telemetry.EvRespawn})
+	sp.End()
+	rec := NewRecorder(RecorderConfig{Events: tel.Trace.Tail})
+	inc := rec.Open(Rule{Name: "r", Series: "g", Kind: KindThreshold, Threshold: 1}, 5, NewHistory(4, 4), secNS)
+	var kinds []string
+	for _, r := range inc.Events {
+		kinds = append(kinds, r.Kind)
+	}
+	if strings.Join(kinds, ",") != "event,span" {
+		t.Fatalf("bundle record kinds = %v, want [event span]", kinds)
 	}
 }

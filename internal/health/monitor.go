@@ -35,8 +35,7 @@ type Monitor struct {
 // NewMonitor builds the monitor.
 func NewMonitor(cfg Config) *Monitor {
 	if cfg.Recorder.Emit == nil && cfg.Telemetry != nil {
-		tel := cfg.Telemetry
-		cfg.Recorder.Emit = func(e telemetry.Event) { tel.Emit(e) }
+		cfg.Recorder.Emit = cfg.Telemetry.Emit
 	}
 	h := NewHistory(cfg.WindowSamples, cfg.MaxSeries)
 	rec := NewRecorder(cfg.Recorder)

@@ -260,7 +260,9 @@ func EncodeARM(in *Inst) ([]byte, error) {
 		if !ok {
 			return nil, fmt.Errorf("%w: arm condition %s", ErrInvalid, c)
 		}
-		rel := (int64(in.Target) - int64(in.Addr) - 4) / 4
+		// Wrapping 32-bit arithmetic, as in DecodeARM: a branch whose
+		// target wraps around the address space re-encodes to its bytes.
+		rel := int32(in.Target-in.Addr-4) / 4
 		if rel < -(1<<21) || rel >= 1<<21 {
 			return nil, fmt.Errorf("%w: arm branch out of range", ErrInvalid)
 		}

@@ -163,10 +163,10 @@ type Machine struct {
 	// not by State identity.
 	blocks blockCache
 
-	// Spans, when non-nil, records block-cache invalidation storms as
-	// spans on the "machine" track. Reconciles that evict nothing (the
+	// Trace, when non-nil and recording spans, records block-cache
+	// invalidation storms as spans on the "machine" track. Reconciles that evict nothing (the
 	// common case under DBT translation churn) record nothing.
-	Spans *telemetry.SpanTracer
+	Trace *telemetry.Tracer
 
 	// eaLog accumulates the dynamic effective addresses of a fused
 	// block's executed body (at most two entries per instruction: memory
@@ -401,13 +401,13 @@ func (m *Machine) Run(maxSteps uint64) (uint64, error) {
 // decoded blocks (an invalidation storm). Spans that would describe a
 // no-op reconcile are abandoned un-ended, which records nothing.
 func (m *Machine) reconcileSpanned(bc *blockCache, g uint64) {
-	if m.Spans == nil {
+	sp := m.Trace.StartSpan("machine", "invalidate")
+	if !sp.Active() {
 		bc.reconcile(m.Mem, g)
 		return
 	}
 	before := bc.evicted
 	fullBefore := bc.fullInvals
-	sp := m.Spans.StartSpan("machine", "invalidate")
 	bc.reconcile(m.Mem, g)
 	dropped := bc.evicted - before
 	if dropped == 0 && bc.fullInvals == fullBefore {

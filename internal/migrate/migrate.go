@@ -112,8 +112,8 @@ type frame struct {
 // indirect jumps).
 func (e *Engine) Migrate(vm *dbt.VM, resumeSrc uint32, boundary bool) bool {
 	e.Stats.Attempts++
-	e.tel.Emit(telemetry.Event{
-		Type: telemetry.EvMigrateBegin, ISA: vm.Active().String(), Addr: resumeSrc,
+	e.tel.Emit(telemetry.Record{
+		Name: telemetry.EvMigrateBegin, ISA: vm.Active().String(), Addr: resumeSrc,
 	})
 	sp := e.tel.StartSpan("migrate", "migrate")
 	sp.SetISA(vm.Active().String())
@@ -135,8 +135,8 @@ func (e *Engine) Migrate(vm *dbt.VM, resumeSrc uint32, boundary bool) bool {
 // (indirect call dispatch).
 func (e *Engine) MigrateEntry(vm *dbt.VM, calleeEntry uint32) bool {
 	e.Stats.Attempts++
-	e.tel.Emit(telemetry.Event{
-		Type: telemetry.EvMigrateBegin, ISA: vm.Active().String(), Addr: calleeEntry,
+	e.tel.Emit(telemetry.Record{
+		Name: telemetry.EvMigrateBegin, ISA: vm.Active().String(), Addr: calleeEntry,
 		Detail: "callee-entry",
 	})
 	sp := e.tel.StartSpan("migrate", "migrate")
@@ -159,13 +159,13 @@ func (e *Engine) MigrateEntry(vm *dbt.VM, calleeEntry uint32) bool {
 func (e *Engine) refused(err error) {
 	e.Stats.Unsafe++
 	e.DebugLastErr = err
-	e.tel.Emit(telemetry.Event{Type: telemetry.EvMigrateEnd, Detail: err.Error()})
+	e.tel.Emit(telemetry.Record{Name: telemetry.EvMigrateEnd, Detail: err.Error()})
 }
 
 func (e *Engine) completed(vm *dbt.VM, addr uint32) {
-	e.tel.Emit(telemetry.Event{
-		Type: telemetry.EvMigrateEnd, ISA: vm.Active().String(), Addr: addr,
-		Cost: e.Stats.LastCostMicros,
+	e.tel.Emit(telemetry.Record{
+		Name: telemetry.EvMigrateEnd, ISA: vm.Active().String(), Addr: addr,
+		CostUS: e.Stats.LastCostMicros,
 	})
 }
 

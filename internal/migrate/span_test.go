@@ -33,8 +33,8 @@ func runTraced(t *testing.T, tel *telemetry.Telemetry, seed int64) *migrate.Engi
 	eng := migrate.New()
 	eng.BindTelemetry(tel)
 	vm.Migrator = eng
-	if tel != nil && tel.Spans != nil {
-		vm.P.M.Spans = tel.Spans
+	if tel != nil {
+		vm.P.M.Trace = tel.Trace
 	}
 	if _, err := vm.Run(maxSteps); err != nil {
 		t.Fatal(err)
@@ -99,8 +99,8 @@ func TestMigrationSpansDecomposeCost(t *testing.T) {
 	if eng.Stats.Migrations == 0 {
 		t.Fatal("no migrations occurred")
 	}
-	spans := tel.Spans.Spans()
-	parents := map[uint64]telemetry.SpanEvent{}
+	spans := tel.Trace.Spans()
+	parents := map[uint64]telemetry.Record{}
 	for _, s := range spans {
 		if s.Track == "migrate" && s.ParentID == 0 {
 			parents[s.ID] = s
@@ -136,7 +136,7 @@ func TestMigrationSpansDecomposeCost(t *testing.T) {
 }
 
 // TestSpanTracingRaceHammer runs 8 machines concurrently, all reporting
-// into one shared span tracer and registry, under -race. Each VM owns
+// into one shared tracer and registry, under -race. Each VM owns
 // its state; only the telemetry layer is shared, so this pins the
 // tracer's concurrency contract end to end.
 func TestSpanTracingRaceHammer(t *testing.T) {
@@ -167,7 +167,7 @@ func TestSpanTracingRaceHammer(t *testing.T) {
 			eng := migrate.New()
 			eng.BindTelemetry(tel)
 			vm.Migrator = eng
-			vm.P.M.Spans = tel.Spans
+			vm.P.M.Trace = tel.Trace
 			if _, err := vm.Run(maxSteps); err != nil {
 				errs <- err
 			}
@@ -178,7 +178,7 @@ func TestSpanTracingRaceHammer(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if tel.Spans.Completed() == 0 {
+	if len(tel.Trace.Spans()) == 0 {
 		t.Fatal("no spans recorded across 8 machines")
 	}
 }

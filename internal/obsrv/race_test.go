@@ -44,7 +44,7 @@ func TestConcurrentScrapesDuringExecution(t *testing.T) {
 	var pump obsrv.Pump
 	h, _ := obsrv.NewHandler(obsrv.Options{
 		Snapshot: pump.Latest,
-		Tracer:   vm.Telemetry().Trace,
+		Trace:    vm.Telemetry().Trace,
 		Profile:  func() (profiler.Report, bool) { return prof.Report(), true },
 	})
 	ts := httptest.NewServer(h)

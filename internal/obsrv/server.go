@@ -54,12 +54,10 @@ type Options struct {
 	// Snapshot supplies the latest telemetry snapshot (typically
 	// Pump.Latest). ok=false means none has been published yet.
 	Snapshot func() (telemetry.Snapshot, bool)
-	// Tracer, when set, feeds /events subscribers (its buffered ring is
-	// replayed as backlog on connect).
-	Tracer *telemetry.Tracer
-	// Spans, when set, serves the bounded span ring at /timeline as
+	// Trace, when set, feeds /events subscribers (its buffered ring is
+	// replayed as backlog on connect) and serves the ring at /timeline as
 	// Chrome trace-event JSON (loadable in ui.perfetto.dev).
-	Spans *telemetry.SpanTracer
+	Trace *telemetry.Tracer
 	// Profile supplies the live profiler report for /profile.
 	Profile func() (profiler.Report, bool)
 	// Tenants, when set, serves the multi-tenant fleet drill-down:
@@ -101,12 +99,12 @@ type Server struct {
 }
 
 // NewHandler builds the route mux. The returned hub is attached to
-// o.Tracer (nil when no tracer was given).
+// o.Trace (nil when no tracer was given).
 func NewHandler(o Options) (http.Handler, *EventHub) {
 	var hub *EventHub
-	if o.Tracer != nil {
+	if o.Trace != nil {
 		hub = NewEventHub(o.SSEBuffer)
-		o.Tracer.AddSink(hub)
+		o.Trace.AddSink(hub)
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
@@ -118,7 +116,7 @@ func NewHandler(o Options) (http.Handler, *EventHub) {
 			"/metrics      Prometheus exposition\n"+
 			"/stats.json   full telemetry snapshot\n"+
 			"/events       live trace stream (SSE)\n"+
-			"/timeline     span ring as Chrome trace JSON (ui.perfetto.dev)\n"+
+			"/timeline     trace ring as Chrome trace JSON (ui.perfetto.dev)\n"+
 			"/profile      sampling profiler (?format=folded|top|json, ?n=N)\n"+
 			"/tenants      fleet drill-down (list; /tenants/{id} for one guest)\n"+
 			"/history      rolling metric history (?series=a,b&points=N)\n"+
@@ -210,19 +208,15 @@ func NewHandler(o Options) (http.Handler, *EventHub) {
 		}
 	})
 	mux.HandleFunc("/events", func(w http.ResponseWriter, r *http.Request) {
-		serveSSE(w, r, o.Tracer, hub, o.SSEKeepalive)
+		serveSSE(w, r, o.Trace, hub, o.SSEKeepalive)
 	})
 	mux.HandleFunc("/timeline", func(w http.ResponseWriter, r *http.Request) {
-		if o.Spans == nil {
-			http.Error(w, "span tracing not enabled (run with -timeline-out)", http.StatusNotFound)
+		if o.Trace == nil {
+			http.Error(w, "no tracer attached", http.StatusNotFound)
 			return
 		}
-		var events []telemetry.Event
-		if o.Tracer != nil && r.URL.Query().Get("events") == "1" {
-			events = o.Tracer.Events()
-		}
 		w.Header().Set("Content-Type", "application/json")
-		telemetry.WriteChromeTrace(w, o.Spans.Spans(), events)
+		telemetry.WriteChromeTrace(w, o.Trace.Records())
 	})
 	mux.HandleFunc("/tenants", func(w http.ResponseWriter, r *http.Request) {
 		if o.Tenants == nil {
@@ -268,11 +262,11 @@ func latest(o Options) (telemetry.Snapshot, bool) {
 	return o.Snapshot()
 }
 
-// serveSSE streams trace events: the tracer's buffered ring as backlog,
-// then live events until the client disconnects. Frames carry the event
-// sequence number as the SSE id; dropped events surface as comment lines
-// so consumers can detect gaps, and idle streams emit periodic
-// ": keepalive" comments so half-open connections don't time out.
+// serveSSE streams trace records: the tracer's buffered ring as backlog,
+// then live records until the client disconnects. Frames carry the record
+// ID as the SSE id; dropped records surface as comment lines so consumers
+// can detect gaps, and idle streams emit periodic ": keepalive" comments
+// so half-open connections don't time out.
 func serveSSE(w http.ResponseWriter, r *http.Request, tr *telemetry.Tracer, hub *EventHub, keepalive time.Duration) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
@@ -299,11 +293,13 @@ func serveSSE(w http.ResponseWriter, r *http.Request, tr *telemetry.Tracer, hub 
 		tick = t.C
 	}
 	// Backlog: subscribe first, then replay the ring, skipping any overlap
-	// delivered through the subscription while we replayed.
-	var lastSeq uint64
-	for _, e := range tr.Events() {
+	// delivered through the subscription while we replayed. IDs are
+	// unique but not ordered (a span's ID is taken when it starts), so the
+	// overlap is found by ID.
+	backlog := map[uint64]bool{}
+	for _, e := range tr.Records() {
 		writeSSE(w, e)
-		lastSeq = e.Seq
+		backlog[e.ID] = true
 	}
 	fl.Flush()
 	for {
@@ -313,13 +309,12 @@ func serveSSE(w http.ResponseWriter, r *http.Request, tr *telemetry.Tracer, hub 
 		}
 		wrote := dropped > 0
 		for _, e := range events {
-			if e.Seq <= lastSeq {
+			if backlog[e.ID] {
 				continue
 			}
 			if err := writeSSE(w, e); err != nil {
 				return
 			}
-			lastSeq = e.Seq
 			wrote = true
 		}
 		if wrote {
@@ -338,12 +333,12 @@ func serveSSE(w http.ResponseWriter, r *http.Request, tr *telemetry.Tracer, hub 
 	}
 }
 
-func writeSSE(w http.ResponseWriter, e telemetry.Event) error {
+func writeSSE(w http.ResponseWriter, e telemetry.Record) error {
 	data, err := json.Marshal(e)
 	if err != nil {
 		return err
 	}
-	_, err = fmt.Fprintf(w, "id: %d\ndata: %s\n\n", e.Seq, data)
+	_, err = fmt.Fprintf(w, "id: %d\ndata: %s\n\n", e.ID, data)
 	return err
 }
 

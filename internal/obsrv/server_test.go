@@ -18,7 +18,7 @@ import (
 func testOptions(tel *telemetry.Telemetry) obsrv.Options {
 	return obsrv.Options{
 		Snapshot: func() (telemetry.Snapshot, bool) { return tel.Snapshot(), true },
-		Tracer:   tel.Trace,
+		Trace:    tel.Trace,
 	}
 }
 
@@ -181,7 +181,7 @@ func TestSSEDropOldest(t *testing.T) {
 	sub := hub.Subscribe()
 	defer hub.Unsubscribe(sub)
 	for i := 1; i <= 10; i++ {
-		hub.Emit(telemetry.Event{Seq: uint64(i), Type: telemetry.EvTranslate})
+		hub.Emit(telemetry.Record{ID: uint64(i), Name: telemetry.EvTranslate})
 	}
 	events, dropped := sub.Drain()
 	if dropped != 6 {
@@ -191,8 +191,8 @@ func TestSSEDropOldest(t *testing.T) {
 		t.Fatalf("got %d events, want 4", len(events))
 	}
 	for i, e := range events {
-		if want := uint64(7 + i); e.Seq != want {
-			t.Errorf("event %d: seq %d, want %d (oldest must go first)", i, e.Seq, want)
+		if want := uint64(7 + i); e.ID != want {
+			t.Errorf("event %d: id %d, want %d (oldest must go first)", i, e.ID, want)
 		}
 	}
 	// Drained ring starts empty again.
@@ -205,8 +205,8 @@ func TestSSEDropOldest(t *testing.T) {
 // then live events, ordered by sequence number without duplicates.
 func TestSSEStream(t *testing.T) {
 	tel := telemetry.New()
-	tel.Trace.Emit(telemetry.Event{Type: telemetry.EvTranslate, ISA: "x86", Addr: 0x1000})
-	tel.Trace.Emit(telemetry.Event{Type: telemetry.EvRATMiss, ISA: "x86"})
+	tel.Trace.Emit(telemetry.Record{Name: telemetry.EvTranslate, ISA: "x86", Addr: 0x1000})
+	tel.Trace.Emit(telemetry.Record{Name: telemetry.EvRATMiss, ISA: "x86"})
 	h, _ := obsrv.NewHandler(testOptions(tel))
 	ts := httptest.NewServer(h)
 	defer ts.Close()
@@ -224,7 +224,7 @@ func TestSSEStream(t *testing.T) {
 	}
 
 	// A live event emitted after connect must also arrive.
-	tel.Trace.Emit(telemetry.Event{Type: telemetry.EvMigrateEnd, ISA: "arm", Cost: 9})
+	tel.Trace.Emit(telemetry.Record{Name: telemetry.EvMigrateEnd, ISA: "arm", CostUS: 9})
 
 	sc := bufio.NewScanner(resp.Body)
 	var ids []string

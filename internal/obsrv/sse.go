@@ -9,7 +9,7 @@ import (
 // DefaultSubscriberBuffer is the per-subscriber event ring capacity.
 const DefaultSubscriberBuffer = 1024
 
-// EventHub fans tracer events out to SSE subscribers. It implements
+// EventHub fans trace records out to SSE subscribers. It implements
 // telemetry.Sink; Emit runs synchronously on the VM's trap paths, so it
 // must never block: each subscriber owns a bounded ring that drops its
 // oldest events when a slow consumer falls behind, and wakeups use a
@@ -30,7 +30,7 @@ func NewEventHub(capacity int) *EventHub {
 }
 
 // Emit implements telemetry.Sink.
-func (h *EventHub) Emit(e telemetry.Event) {
+func (h *EventHub) Emit(e telemetry.Record) {
 	h.mu.Lock()
 	for s := range h.subs {
 		s.push(e)
@@ -41,7 +41,7 @@ func (h *EventHub) Emit(e telemetry.Event) {
 // Subscribe registers a new subscriber receiving events from now on.
 func (h *EventHub) Subscribe() *Subscriber {
 	s := &Subscriber{
-		buf:    make([]telemetry.Event, h.cap),
+		buf:    make([]telemetry.Record, h.cap),
 		notify: make(chan struct{}, 1),
 	}
 	h.mu.Lock()
@@ -67,14 +67,14 @@ func (h *EventHub) Subscribers() int {
 // Subscriber is one SSE consumer's bounded event ring.
 type Subscriber struct {
 	mu      sync.Mutex
-	buf     []telemetry.Event
+	buf     []telemetry.Record
 	head    int // index of the oldest buffered event
 	n       int // buffered event count
 	dropped uint64
 	notify  chan struct{}
 }
 
-func (s *Subscriber) push(e telemetry.Event) {
+func (s *Subscriber) push(e telemetry.Record) {
 	s.mu.Lock()
 	if s.n == len(s.buf) {
 		// Ring full: overwrite the oldest (drop-oldest, never block).
@@ -97,13 +97,13 @@ func (s *Subscriber) Notify() <-chan struct{} { return s.notify }
 
 // Drain returns the buffered events in emission order and the number of
 // events dropped since the previous Drain, clearing both.
-func (s *Subscriber) Drain() ([]telemetry.Event, uint64) {
+func (s *Subscriber) Drain() ([]telemetry.Record, uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.n == 0 && s.dropped == 0 {
 		return nil, 0
 	}
-	out := make([]telemetry.Event, s.n)
+	out := make([]telemetry.Record, s.n)
 	for i := 0; i < s.n; i++ {
 		out[i] = s.buf[(s.head+i)%len(s.buf)]
 	}

@@ -123,8 +123,8 @@ func measure(p *proc.Process, model *Model, warmWrites, measureWrites int) (Meas
 			if model.tel != nil {
 				cyc := model.Cycles - phaseStart
 				model.histPhase.Observe(cyc)
-				model.tel.Emit(telemetry.Event{
-					Type: telemetry.EvPhase, ISA: model.Core.Name, Cost: cyc,
+				model.tel.Emit(telemetry.Record{
+					Name: telemetry.EvPhase, ISA: model.Core.Name, DurCycles: cyc,
 					Detail: fmt.Sprintf("write %d", len(p.Trace)),
 				})
 			}

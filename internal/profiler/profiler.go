@@ -12,7 +12,7 @@
 // PSR overhead, which end-to-end totals cannot attribute.
 //
 // Beyond sampled guest cycles (the "interpret" phase), the profiler taps
-// the event tracer for the two VM phases with explicit costs: translation
+// the trace stream for the two VM phases with explicit costs: translation
 // latency (EvTranslate, microseconds) and migration cost (EvMigrateEnd,
 // microseconds). Reports export a top-N hot-block table, a JSON summary,
 // and folded flamegraph stacks in the same "frame;frame;frame weight"
@@ -154,13 +154,13 @@ func (p *Profiler) Attach(m *machine.Machine) {
 	}
 }
 
-// AttachTracer taps t's event stream for the costed VM phases (translate,
-// migrate) so reports break those out alongside sampled guest cycles.
+// AttachTracer taps t's trace stream for the costed VM phases (translate,
+// migrate points) so reports break those out alongside sampled guest
+// cycles.
 func (p *Profiler) AttachTracer(t *telemetry.Telemetry) {
-	if t == nil || t.Trace == nil {
-		return
+	if t != nil {
+		t.Trace.AddSink(p)
 	}
-	t.Trace.AddSink(p)
 }
 
 // BindTelemetry publishes the profiler's own meters through t: sample and
@@ -232,11 +232,15 @@ func (p *Profiler) sample(k isa.Kind, pc uint32) {
 	p.mu.Unlock()
 }
 
-// Emit implements telemetry.Sink: translation and migration events carry
+// Emit implements telemetry.Sink: translation and migration points carry
 // explicit costs (microseconds) that the sampler cannot see, so they are
-// accounted as their own phases.
-func (p *Profiler) Emit(e telemetry.Event) {
-	switch e.Type {
+// accounted as their own phases. Span records are skipped: they time the
+// same work the points report.
+func (p *Profiler) Emit(e telemetry.Record) {
+	if e.Kind == telemetry.KindSpan {
+		return
+	}
+	switch e.Name {
 	case telemetry.EvTranslate:
 		k, ok := kindOf(e.ISA)
 		if !ok {
@@ -255,11 +259,11 @@ func (p *Profiler) Emit(e telemetry.Event) {
 			a = &agg{}
 			p.translate[key] = a
 		}
-		a.cost += e.Cost
+		a.cost += e.CostUS
 		a.samples++
 		p.mu.Unlock()
 	case telemetry.EvMigrateEnd:
-		if e.Cost <= 0 {
+		if e.CostUS <= 0 {
 			return // refusals carry no cost
 		}
 		k, ok := kindOf(e.ISA)
@@ -272,7 +276,7 @@ func (p *Profiler) Emit(e telemetry.Event) {
 			a = &agg{}
 			p.migrate[k] = a
 		}
-		a.cost += e.Cost
+		a.cost += e.CostUS
 		a.samples++
 		p.mu.Unlock()
 	}

@@ -166,17 +166,20 @@ func TestFoldedOutput(t *testing.T) {
 	}
 }
 
-// TestPhaseAccounting feeds tracer events straight into the profiler's
+// TestPhaseAccounting feeds trace records straight into the profiler's
 // sink and checks translate/migrate costs surface as phases with their
 // microsecond weights, keyed to the function owning the translated block.
 func TestPhaseAccounting(t *testing.T) {
 	bin := compile(t, "fib")
 	prof := profiler.New(bin, 64)
 	entry := bin.Funcs[0].Entry[isa.X86]
-	prof.Emit(telemetry.Event{Type: telemetry.EvTranslate, ISA: "x86", Addr: entry, Cost: 12.5})
-	prof.Emit(telemetry.Event{Type: telemetry.EvTranslate, ISA: "x86", Addr: entry, Cost: 2.5})
-	prof.Emit(telemetry.Event{Type: telemetry.EvMigrateEnd, ISA: "arm", Cost: 40})
-	prof.Emit(telemetry.Event{Type: telemetry.EvMigrateEnd, ISA: "arm", Cost: 0}) // refused: no cost
+	prof.Emit(telemetry.Record{Name: telemetry.EvTranslate, ISA: "x86", Addr: entry, CostUS: 12.5})
+	prof.Emit(telemetry.Record{Name: telemetry.EvTranslate, ISA: "x86", Addr: entry, CostUS: 2.5})
+	prof.Emit(telemetry.Record{Name: telemetry.EvMigrateEnd, ISA: "arm", CostUS: 40})
+	prof.Emit(telemetry.Record{Name: telemetry.EvMigrateEnd, ISA: "arm", CostUS: 0}) // refused: no cost
+	// The span timing the same translation shares the stream; it must not
+	// count twice.
+	prof.Emit(telemetry.Record{Kind: telemetry.KindSpan, Name: "translate", Track: "dbt", ISA: "x86", CostUS: 12.5})
 	rep := prof.Report()
 	if len(rep.Phases) != 2 {
 		t.Fatalf("got %d phases, want 2: %+v", len(rep.Phases), rep.Phases)

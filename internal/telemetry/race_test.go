@@ -56,7 +56,7 @@ func TestConcurrentCountersAndSnapshots(t *testing.T) {
 				h.Observe(float64(i%100) + 0.5)
 				g.Add(1)
 				if i%500 == 0 {
-					tel.Emit(Event{Type: EvPolicy, Detail: "race"})
+					tel.Emit(Record{Name: EvPolicy, Detail: "race"})
 				}
 			}
 		}()

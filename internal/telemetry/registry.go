@@ -1,7 +1,8 @@
 // Package telemetry is the HIPStR VM's unified observability layer: a
 // hierarchical metrics registry (atomic counters, gauges, and log-bucketed
-// histograms cheap enough for the interpreter's trap paths), a structured
-// event tracer with a bounded ring buffer and pluggable sinks, and
+// histograms cheap enough for the interpreter's trap paths), one tracer
+// recording point events and spans into a bounded ring with pluggable
+// sinks, and
 // machine-readable snapshot/delta export. It has no dependencies beyond
 // the standard library and is shared by the DBT, migration engine, policy
 // core, timing model, and both command-line drivers.

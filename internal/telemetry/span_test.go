@@ -12,7 +12,7 @@ import (
 // the parent in both domains, and the children's cycle durations sum to
 // no more than the parent's.
 func TestSpanNestingAndDomains(t *testing.T) {
-	st := NewSpanTracer(16)
+	st := NewTracer(16)
 	cycles := 100.0
 	st.SetCycleSource(func() float64 { return cycles })
 
@@ -71,12 +71,12 @@ func TestSpanNestingAndDomains(t *testing.T) {
 }
 
 // TestSpanInertWhenDisabled pins the zero-overhead-disabled contract: a
-// nil tracer (the Telemetry default) yields inert spans whose whole
-// lifecycle allocates nothing.
+// nil tracer, and a Telemetry tracer before EnableSpans, yield inert spans
+// whose whole lifecycle allocates nothing.
 func TestSpanInertWhenDisabled(t *testing.T) {
-	var st *SpanTracer
+	var st *Tracer
 	tel := New()
-	if tel.Spans != nil {
+	if tel.StartSpan("dbt", "translate").Active() {
 		t.Fatal("Telemetry must not enable spans by default")
 	}
 	allocs := testing.AllocsPerRun(100, func() {
@@ -93,31 +93,34 @@ func TestSpanInertWhenDisabled(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("disabled span lifecycle allocates %v/op, want 0", allocs)
 	}
-	if st.Completed() != 0 || len(st.Spans()) != 0 || st.Cap() != 0 {
+	if st.Recorded() != 0 || len(st.Records()) != 0 || st.Cap() != 0 {
 		t.Fatal("nil tracer accumulated state")
+	}
+	if tel.Trace.Recorded() != 0 {
+		t.Fatal("disabled spans were recorded")
 	}
 }
 
 // TestSpanAbandonedNeverRecorded pins the abandonment idiom: refusal
 // paths drop spans without End, and nothing lands in the ring.
 func TestSpanAbandonedNeverRecorded(t *testing.T) {
-	st := NewSpanTracer(8)
+	st := NewTracer(8)
 	sp := st.StartSpan("machine", "invalidate")
 	_ = sp
-	if st.Completed() != 0 {
-		t.Fatalf("abandoned span was recorded: %d completed", st.Completed())
+	if st.Recorded() != 0 {
+		t.Fatalf("abandoned span was recorded: %d recorded", st.Recorded())
 	}
 }
 
 // TestSpanRingRotation overfills a small ring and checks the retained
 // window is the most recent spans in completion order.
 func TestSpanRingRotation(t *testing.T) {
-	st := NewSpanTracer(4)
+	st := NewTracer(4)
 	for i := 0; i < 10; i++ {
 		st.StartSpan("t", "s").End()
 	}
-	if st.Completed() != 10 {
-		t.Fatalf("completed = %d, want 10", st.Completed())
+	if st.Recorded() != 10 {
+		t.Fatalf("recorded = %d, want 10", st.Recorded())
 	}
 	spans := st.Spans()
 	if len(spans) != 4 {
@@ -137,11 +140,11 @@ func TestSpanRingRotation(t *testing.T) {
 // appear in the wall-clock process (and in the guest-cycle process only
 // with cycle data), and point events become instants.
 func TestWriteChromeTraceShape(t *testing.T) {
-	spans := []SpanEvent{
-		{Kind: "span", ID: 1, Name: "migrate", Track: "migrate", StartNS: 1000, DurNS: 500000, StartCycles: 10, DurCycles: 400, CostUS: 620},
-		{Kind: "span", ID: 2, ParentID: 1, Name: "resume", Track: "migrate", StartNS: 400000, DurNS: 100000},
+	spans := []Record{
+		{Kind: KindSpan, ID: 1, Name: "migrate", Track: "migrate", StartNS: 1000, DurNS: 500000, StartCycles: 10, DurCycles: 400, CostUS: 620},
+		{Kind: KindSpan, ID: 2, ParentID: 1, Name: "resume", Track: "migrate", StartNS: 400000, DurNS: 100000},
 	}
-	events := []Event{{Seq: 1, Type: EvSecurity, ISA: "x86"}}
+	events := []Record{{Kind: KindEvent, ID: 3, Name: EvSecurity, ISA: "x86", StartNS: 450000}}
 	var b strings.Builder
 	if err := WriteChromeTrace(&b, spans, events); err != nil {
 		t.Fatal(err)
@@ -184,32 +187,39 @@ func TestWriteChromeTraceShape(t *testing.T) {
 	}
 }
 
-// TestSpanJSONLSinkDiscriminator checks every emitted line carries the
-// "kind":"span" field tracestat keys on.
+// TestSpanJSONLSinkDiscriminator checks every line of the one JSONL
+// stream carries the "kind" field tracestat keys on: "span" for completed
+// spans, "event" for points.
 func TestSpanJSONLSinkDiscriminator(t *testing.T) {
 	var b strings.Builder
-	sink := NewSpanJSONLSink(&b)
-	st := NewSpanTracer(4)
+	sink := NewJSONLSink(&b)
+	st := NewTracer(4)
 	st.AddSink(sink)
 	st.StartSpan("dbt", "translate").End()
+	st.Emit(Record{Name: EvTranslate})
 	st.StartSpan("migrate", "migrate").End()
-	if sink.Written() != 2 || sink.Err() != nil {
+	if sink.Written() != 3 || sink.Err() != nil {
 		t.Fatalf("sink wrote %d, err %v", sink.Written(), sink.Err())
 	}
+	var kinds []string
 	for _, line := range strings.Split(strings.TrimSpace(b.String()), "\n") {
 		var probe struct {
 			Kind string `json:"kind"`
 		}
-		if err := json.Unmarshal([]byte(line), &probe); err != nil || probe.Kind != "span" {
-			t.Fatalf("line %q: kind %q, err %v", line, probe.Kind, err)
+		if err := json.Unmarshal([]byte(line), &probe); err != nil {
+			t.Fatalf("line %q: %v", line, err)
 		}
+		kinds = append(kinds, probe.Kind)
+	}
+	if strings.Join(kinds, ",") != "span,event,span" {
+		t.Fatalf("kinds = %v, want span,event,span", kinds)
 	}
 }
 
 // BenchmarkSpanDisabled measures the instrumentation cost with tracing
 // off — the common case on bench configs. Must stay allocation-free.
 func BenchmarkSpanDisabled(b *testing.B) {
-	var st *SpanTracer
+	var st *Tracer
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sp := st.StartSpan("dbt", "translate")

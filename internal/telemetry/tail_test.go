@@ -11,7 +11,7 @@ import (
 func TestTracerTail(t *testing.T) {
 	tr := NewTracer(8)
 	for i := 0; i < 12; i++ { // rotates 4 out
-		tr.Emit(Event{Type: EvRespawn, Detail: fmt.Sprintf("e%d", i)})
+		tr.Emit(Record{Name: EvRespawn, Detail: fmt.Sprintf("e%d", i)})
 	}
 	tail := tr.Tail(3)
 	if len(tail) != 3 {
@@ -30,17 +30,33 @@ func TestTracerTail(t *testing.T) {
 	}
 }
 
+// TestSpanTracerTail: once EnableSpans turns span recording on, spans
+// share the points' ring, and Tail returns both kinds in stream order.
 func TestSpanTracerTail(t *testing.T) {
-	st := NewSpanTracer(8)
+	tel := NewWithTraceCap(4)
+	tel.Emit(Record{Name: EvTranslate, Detail: "before"})
+	tel.StartSpan("t", "dropped").End() // spans still off
+	st := tel.EnableSpans(8)
+	if st != tel.Trace || st.Cap() != 8 {
+		t.Fatalf("EnableSpans returned %p cap %d, want the tracer %p cap 8", st, st.Cap(), tel.Trace)
+	}
 	for i := 0; i < 5; i++ {
 		sp := st.StartSpan("t", fmt.Sprintf("s%d", i))
+		tel.Emit(Record{Name: EvPolicy, Detail: fmt.Sprintf("p%d", i)})
 		sp.End()
 	}
 	tail := st.Tail(2)
-	if len(tail) != 2 || tail[0].Name != "s3" || tail[1].Name != "s4" {
-		t.Fatalf("span tail: %+v", tail)
+	if len(tail) != 2 || tail[0].Detail != "p4" || tail[1].Name != "s4" || tail[1].Kind != KindSpan {
+		t.Fatalf("tail: %+v", tail)
 	}
-	if got := st.Tail(0); len(got) != 5 {
-		t.Fatalf("Tail(0) returned %d spans, want 5", len(got))
+	all := st.Tail(0)
+	if len(all) != 8 || all[0].Detail != "p1" {
+		t.Fatalf("Tail(0) = %d records starting %+v, want 8 starting p1", len(all), all[0])
+	}
+	if got := len(st.Spans()); got != 4 {
+		t.Fatalf("Spans() = %d, want the 4 buffered spans", got)
+	}
+	if st.Recorded() != 11 {
+		t.Fatalf("recorded = %d, want 11", st.Recorded())
 	}
 }

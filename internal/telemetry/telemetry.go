@@ -1,27 +1,25 @@
 package telemetry
 
-// Telemetry bundles one metrics registry, one event tracer, and one
-// optional span tracer — the unit of observability a protected System
-// carries. All methods are nil-safe so uninstrumented construction paths
-// (a bare migrate.Engine in a test, say) need no guards.
+// Telemetry bundles one metrics registry and one tracer — the unit of
+// observability a protected System carries. All methods are nil-safe so
+// uninstrumented construction paths (a bare migrate.Engine in a test, say)
+// need no guards.
 //
-// Spans is nil by default: span tracing is strictly opt-in (EnableSpans),
-// and instrumented hot paths pay only a nil check when it is off.
+// The tracer always records point events; span recording is strictly
+// opt-in (EnableSpans), and instrumented hot paths pay only a nil check
+// when it is off.
 type Telemetry struct {
 	Reg   *Registry
 	Trace *Tracer
-	Spans *SpanTracer
 }
 
 // New returns a fresh registry + tracer pair with the default ring size.
-func New() *Telemetry {
-	return &Telemetry{Reg: NewRegistry(), Trace: NewTracer(DefaultTraceCap)}
-}
+func New() *Telemetry { return NewWithTraceCap(DefaultTraceCap) }
 
-// NewWithTraceCap returns a registry + tracer pair whose event ring keeps
-// the last capacity events (<= 0 selects DefaultTraceCap).
+// NewWithTraceCap returns a registry + tracer pair whose ring keeps the
+// last capacity records (<= 0 selects DefaultTraceCap).
 func NewWithTraceCap(capacity int) *Telemetry {
-	return &Telemetry{Reg: NewRegistry(), Trace: NewTracer(capacity)}
+	return &Telemetry{Reg: NewRegistry(), Trace: newTracer(capacity)}
 }
 
 // PublishSeries is the nil-safe series exporter (see Registry.PublishSeries).
@@ -32,33 +30,32 @@ func (t *Telemetry) PublishSeries(prefix string, points []SeriesPoint) {
 	t.Reg.PublishSeries(prefix, points)
 }
 
-// EnableSpans attaches a span tracer with the given ring capacity (<= 0
-// selects DefaultSpanCap) and returns it. Calling it again replaces the
-// tracer. A nil receiver returns nil (which is itself a valid, inert
-// tracer).
-func (t *Telemetry) EnableSpans(capacity int) *SpanTracer {
-	if t == nil {
+// EnableSpans turns on span recording on the tracer, resizing its ring to
+// capacity records (<= 0 selects DefaultSpanCap), and returns the tracer.
+// A nil receiver returns nil (which is itself a valid, inert tracer).
+func (t *Telemetry) EnableSpans(capacity int) *Tracer {
+	if t == nil || t.Trace == nil {
 		return nil
 	}
-	t.Spans = NewSpanTracer(capacity)
-	return t.Spans
+	t.Trace.enableSpans(capacity)
+	return t.Trace
 }
 
-// StartSpan opens a root span on the attached span tracer; with spans
-// disabled (or a nil receiver) it returns the inert zero Span.
+// StartSpan opens a root span on the tracer; with span recording off (or
+// a nil receiver) it returns the inert zero Span.
 func (t *Telemetry) StartSpan(track, name string) Span {
-	if t == nil || t.Spans == nil {
+	if t == nil {
 		return Span{}
 	}
-	return t.Spans.StartSpan(track, name)
+	return t.Trace.StartSpan(track, name)
 }
 
-// Emit records a trace event; a nil receiver drops it.
-func (t *Telemetry) Emit(e Event) {
-	if t == nil || t.Trace == nil {
+// Emit records a point event; a nil receiver drops it.
+func (t *Telemetry) Emit(r Record) {
+	if t == nil {
 		return
 	}
-	t.Trace.Emit(e)
+	t.Trace.Emit(r)
 }
 
 // Snapshot returns the registry snapshot; a nil receiver yields an empty

@@ -1,150 +1,294 @@
 package telemetry
 
 import (
+	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
+	"time"
 )
 
-// EventType names a structured trace event.
-type EventType string
+// One trace stream carries everything the VM reports on its timeline:
+// point events (a translation committed, a security event, a kill) and,
+// when span recording is on, completed spans (a migration and each of
+// its phases, a translation, an experiment cell). Both are Records in
+// one bounded ring, fanned out to one set of sinks and written as one
+// JSONL schema; the Kind field tells them apart.
 
-// The typed events emitted across the VM.
+// Record kinds.
+const (
+	KindSpan  = "span"
+	KindEvent = "event"
+)
+
+// The point events emitted across the VM, by Record.Name.
 const (
 	// EvTranslate fires when a translation unit is committed (Addr is the
-	// source block, Cost the translation latency in microseconds).
-	EvTranslate EventType = "translate"
+	// source block, CostUS the translation latency).
+	EvTranslate = "translate"
 	// EvCacheFlush fires when a code cache is flushed wholesale (Detail
 	// records the number of evicted units).
-	EvCacheFlush EventType = "cache-flush"
+	EvCacheFlush = "cache-flush"
 	// EvRATMiss fires when a return misses the Return Address Table and
 	// traps to the VM (Addr is the source return address).
-	EvRATMiss EventType = "rat-miss"
+	EvRATMiss = "rat-miss"
 	// EvSecurity fires on a code-cache-miss security event (Addr is the
 	// raw, pre-validation target of the suspect transfer).
-	EvSecurity EventType = "security-event"
+	EvSecurity = "security-event"
 	// EvPolicy records a policy decision (Detail: e.g. "security-migrate",
 	// "stay", "phase-migration-request").
-	EvPolicy EventType = "policy"
+	EvPolicy = "policy"
 	// EvMigrateBegin fires when a cross-ISA migration is attempted (ISA is
 	// the source, Addr the resume point).
-	EvMigrateBegin EventType = "migrate-begin"
+	EvMigrateBegin = "migrate-begin"
 	// EvMigrateEnd fires when the attempt concludes (ISA is the target on
-	// success, Cost the modeled cost in microseconds; Detail carries the
-	// refusal reason otherwise).
-	EvMigrateEnd EventType = "migrate-end"
+	// success, CostUS the modeled cost; Detail carries the refusal reason
+	// otherwise).
+	EvMigrateEnd = "migrate-end"
 	// EvKill fires when the security policy terminates the process.
-	EvKill EventType = "kill"
+	EvKill = "kill"
 	// EvRespawn fires when a crashed worker is re-spawned with fresh
 	// randomization (paper §5.3).
-	EvRespawn EventType = "respawn"
+	EvRespawn = "respawn"
 	// EvPhase fires at a workload progress boundary in the timing model
-	// (Cost is the cycles accumulated in the closing phase).
-	EvPhase EventType = "phase"
+	// (DurCycles is the cycles accumulated in the closing phase).
+	EvPhase = "phase"
 )
 
-// Event is one structured trace record.
-type Event struct {
-	Seq    uint64    `json:"seq"`
-	Type   EventType `json:"type"`
-	ISA    string    `json:"isa,omitempty"`
-	Addr   uint32    `json:"addr,omitempty"`
-	Target uint32    `json:"target,omitempty"`
-	// Cost is event-specific: microseconds for translation/migration,
-	// cycles for phase events.
-	Cost   float64 `json:"cost,omitempty"`
-	Detail string  `json:"detail,omitempty"`
+// Record is one trace record: a completed span, or a point event, which
+// is a record of zero wall-clock duration. Every record carries two time
+// domains —
+//
+//   - wall clock: nanoseconds from the tracer's epoch on the host
+//     monotonic clock, measuring what the simulation itself costs, and
+//   - guest cycles: the modeled cycle counter of the traced guest
+//     (spans only), measuring what the traced program experiences,
+//
+// plus an optional modeled cost in microseconds (the Figure 12 cost model
+// lives in modeled time, not in either clock).
+type Record struct {
+	// Kind is KindSpan or KindEvent.
+	Kind string `json:"kind"`
+	// ID is unique within the tracer; ParentID is 0 for roots and points.
+	ID       uint64 `json:"id"`
+	ParentID uint64 `json:"parent,omitempty"`
+	// Name is the span's operation ("migrate", "transform", "translate")
+	// or the point event's type (EvTranslate, EvSecurity, ...).
+	Name string `json:"name"`
+	// Track groups spans onto one timeline row in exports: typically the
+	// subsystem ("migrate", "dbt", "machine", "experiments").
+	Track string `json:"track,omitempty"`
+	// ISA optionally records the ISA the record concerns.
+	ISA string `json:"isa,omitempty"`
+	// Addr is a point event's guest address (block, resume point, target).
+	Addr uint32 `json:"addr,omitempty"`
+	// StartNS/DurNS are the wall-clock start offset from the tracer's
+	// epoch and the duration (always 0 for points), in nanoseconds.
+	StartNS int64 `json:"start_ns"`
+	DurNS   int64 `json:"dur_ns"`
+	// StartCycles/DurCycles are the guest-cycle-domain start and duration,
+	// taken from the tracer's cycle source (0 when no source is attached).
+	StartCycles float64 `json:"start_cycles,omitempty"`
+	DurCycles   float64 `json:"dur_cycles,omitempty"`
+	// CostUS is the modeled cost in microseconds attributed to the record
+	// (a migration phase's share, a translation's latency).
+	CostUS float64 `json:"cost_us,omitempty"`
+	// Detail carries record-specific context (refusal reason, unit size...).
+	Detail string `json:"detail,omitempty"`
 }
 
-// Sink receives every event as it is emitted.
+// Sink receives every record as it is recorded.
 type Sink interface {
-	Emit(Event)
+	Emit(Record)
 }
 
-// Tracer records typed events into a bounded ring buffer and fans them out
-// to sinks. Emission happens on VM trap paths (translation, migration,
-// security events), never per instruction, so a mutex is cheap enough.
+// Ring capacities: DefaultTraceCap for a points-only tracer, and
+// DefaultSpanCap once span recording shares the ring.
+const (
+	DefaultTraceCap = 4096
+	DefaultSpanCap  = 8192
+)
+
+// Tracer records trace records into a bounded ring and fans them out to
+// sinks. Recording happens on VM trap paths and phase boundaries, never
+// per instruction, so a mutex is cheap enough; starting a span is
+// lock-free (an atomic ID allocation and a clock read).
+//
+// Span recording is a switch on the tracer: a Telemetry's tracer starts
+// with it off (EnableSpans turns it on), and StartSpan then returns the
+// inert zero Span, so instrumented hot paths cost a nil check and zero
+// allocations. A nil *Tracer is valid and records nothing.
 type Tracer struct {
-	mu    sync.Mutex
-	ring  []Event
-	cap   int
-	seq   uint64
-	sinks []Sink
+	epoch time.Time
+	seq   atomic.Uint64
+	spans atomic.Bool
+
+	mu sync.Mutex
+	// cycles, when non-nil, supplies the guest-cycle domain. It must be
+	// safe to call from the tracing goroutine (machine step counters and
+	// the perf model both are: they are only written between instructions
+	// on the owning goroutine, and spans on other goroutines tolerate the
+	// resulting slight skew).
+	cycles func() float64
+	ring   []Record
+	next   int // overwrite position once the ring is full
+	cap    int
+	total  uint64
+	sinks  []Sink
 }
 
-// DefaultTraceCap is the default ring capacity.
-const DefaultTraceCap = 4096
-
-// NewTracer returns a tracer keeping the last capacity events (<= 0 means
-// DefaultTraceCap).
+// NewTracer returns a tracer keeping the last capacity records (<= 0
+// selects DefaultTraceCap), with span recording on.
 func NewTracer(capacity int) *Tracer {
+	t := newTracer(capacity)
+	t.spans.Store(true)
+	return t
+}
+
+func newTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCap
 	}
-	return &Tracer{cap: capacity}
+	return &Tracer{epoch: time.Now(), cap: capacity}
 }
 
-// Cap returns the ring capacity.
-func (t *Tracer) Cap() int { return t.cap }
+// SpanTracer is the tracer's former name; perfbench needs it.
+type SpanTracer = Tracer
 
-// AddSink attaches a sink; it receives events emitted from now on.
+// SpanEvent is the record's former name; perfbench needs it.
+type SpanEvent = Record
+
+// NewSpanTracer is NewTracer's former name; perfbench needs it.
+func NewSpanTracer(capacity int) *Tracer { return NewTracer(capacity) }
+
+// enableSpans turns span recording on and resizes the ring to capacity
+// (<= 0 selects DefaultSpanCap), keeping the most recent records.
+func (t *Tracer) enableSpans(capacity int) {
+	if capacity <= 0 {
+		capacity = DefaultSpanCap
+	}
+	t.mu.Lock()
+	recs := t.recordsLocked()
+	if len(recs) > capacity {
+		recs = recs[len(recs)-capacity:]
+	}
+	t.ring, t.next, t.cap = recs, 0, capacity
+	t.mu.Unlock()
+	t.spans.Store(true)
+}
+
+// SetCycleSource attaches the guest-cycle domain source. Pass nil to
+// detach; spans then record zero cycle durations.
+func (t *Tracer) SetCycleSource(f func() float64) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	t.cycles = f
+	t.mu.Unlock()
+}
+
+// AddSink attaches a sink; it receives records from now on.
 func (t *Tracer) AddSink(s Sink) {
+	if t == nil {
+		return
+	}
 	t.mu.Lock()
 	t.sinks = append(t.sinks, s)
 	t.mu.Unlock()
 }
 
-// Emit records e, assigning its sequence number.
-func (t *Tracer) Emit(e Event) {
+// Emit records a point event, stamping its kind, ID and wall-clock start.
+func (t *Tracer) Emit(r Record) {
+	if t == nil {
+		return
+	}
+	r.Kind = KindEvent
+	r.ID = t.seq.Add(1)
+	r.StartNS = int64(time.Since(t.epoch))
+	t.record(r)
+}
+
+func (t *Tracer) record(r Record) {
 	t.mu.Lock()
-	t.seq++
-	e.Seq = t.seq
+	t.total++
 	if len(t.ring) < t.cap {
-		t.ring = append(t.ring, e)
+		t.ring = append(t.ring, r)
 	} else {
-		t.ring[int((t.seq-1)%uint64(t.cap))] = e
+		t.ring[t.next] = r
+		t.next = (t.next + 1) % t.cap
 	}
 	sinks := t.sinks
 	t.mu.Unlock()
 	for _, s := range sinks {
-		s.Emit(e)
+		s.Emit(r)
 	}
 }
 
-// Emitted returns the total number of events emitted (including any that
-// have rotated out of the ring).
-func (t *Tracer) Emitted() uint64 {
+// Cap returns the ring capacity.
+func (t *Tracer) Cap() int {
+	if t == nil {
+		return 0
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.seq
+	return t.cap
 }
 
-// Tail returns the most recent n buffered events in emission order (all
-// of them when n <= 0 or exceeds the buffer). It is the flight-recorder
-// tap: an incident bundle wants the last few dozen events, not a copy of
-// the whole ring.
-func (t *Tracer) Tail(n int) []Event {
-	evs := t.Events()
-	if n > 0 && len(evs) > n {
-		evs = evs[len(evs)-n:]
+// Recorded returns the total number of records (including any that have
+// rotated out of the ring).
+func (t *Tracer) Recorded() uint64 {
+	if t == nil {
+		return 0
 	}
-	return evs
-}
-
-// Events returns the buffered events in emission order.
-func (t *Tracer) Events() []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Event, 0, len(t.ring))
-	if len(t.ring) < t.cap {
-		return append(out, t.ring...)
-	}
-	start := int(t.seq % uint64(t.cap))
-	out = append(out, t.ring[start:]...)
-	return append(out, t.ring[:start]...)
+	return t.total
 }
 
-// JSONLSink writes each event as one JSON object per line.
+// Records returns the buffered records in recording order.
+func (t *Tracer) Records() []Record {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.recordsLocked()
+}
+
+func (t *Tracer) recordsLocked() []Record {
+	out := make([]Record, 0, len(t.ring))
+	out = append(out, t.ring[t.next:]...)
+	return append(out, t.ring[:t.next]...)
+}
+
+// Tail returns the most recent n buffered records in recording order
+// (all of them when n <= 0 or exceeds the buffer). It is the
+// flight-recorder tap: an incident bundle wants the last few dozen
+// records, not a copy of the whole ring.
+func (t *Tracer) Tail(n int) []Record {
+	recs := t.Records()
+	if n > 0 && len(recs) > n {
+		recs = recs[len(recs)-n:]
+	}
+	return recs
+}
+
+// Spans returns the buffered span records, without points; perfbench
+// needs it.
+func (t *Tracer) Spans() []Record {
+	var out []Record
+	for _, r := range t.Records() {
+		if r.Kind == KindSpan {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// JSONLSink writes each record as one JSON object per line.
 type JSONLSink struct {
 	mu  sync.Mutex
 	enc *json.Encoder
@@ -158,19 +302,19 @@ func NewJSONLSink(w io.Writer) *JSONLSink {
 }
 
 // Emit implements Sink.
-func (s *JSONLSink) Emit(e Event) {
+func (s *JSONLSink) Emit(r Record) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.err != nil {
 		return
 	}
-	s.err = s.enc.Encode(e)
+	s.err = s.enc.Encode(r)
 	if s.err == nil {
 		s.n++
 	}
 }
 
-// Written returns the number of events successfully written.
+// Written returns the number of records successfully written.
 func (s *JSONLSink) Written() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -182,4 +326,34 @@ func (s *JSONLSink) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.err
+}
+
+// ReadJSONL parses a JSONL trace stream (one Record per line, as JSONLSink
+// writes it), skipping blank lines. A final line that fails to parse is
+// the usual signature of a trace cut mid-write (the writing process was
+// killed): it is dropped and its line number returned as cut. An
+// unparsable line followed by more data is corruption, and an error.
+func ReadJSONL(r io.Reader) (recs []Record, cut int, err error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	var bad error
+	for line := 1; sc.Scan(); line++ {
+		b := sc.Bytes()
+		if len(b) == 0 {
+			continue
+		}
+		if bad != nil {
+			return nil, 0, bad
+		}
+		var rec Record
+		if err := json.Unmarshal(b, &rec); err != nil {
+			bad, cut = fmt.Errorf("line %d: %w", line, err), line
+			continue
+		}
+		recs = append(recs, rec)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, 0, err
+	}
+	return recs, cut, nil
 }
