@@ -11,6 +11,7 @@ package gadget
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"hipstr/internal/fatbin"
@@ -129,9 +130,12 @@ func enderOf(in *isa.Inst) (EnderKind, bool) {
 }
 
 // decodeRun decodes from start, accepting sequences whose only control
-// transfer is a final ender at enderAddr. Returns the instructions or nil.
-func decodeRun(text []byte, base uint32, k isa.Kind, start, enderEnd uint32, maxInstrs int) []isa.Inst {
-	var instrs []isa.Inst
+// transfer is a final ender at enderEnd. Returns the instructions or nil.
+// The instructions are decoded into scratch[:0] and alias it, so miners
+// reuse one buffer across candidate starts and clone only accepted runs;
+// with cap(scratch) > maxInstrs the buffer never grows.
+func decodeRun(text []byte, base uint32, k isa.Kind, start, enderEnd uint32, maxInstrs int, scratch []isa.Inst) []isa.Inst {
+	instrs := scratch[:0]
 	addr := start
 	for addr < enderEnd && len(instrs) <= maxInstrs {
 		off := addr - base
@@ -164,6 +168,7 @@ func mineX86(bin *fatbin.Binary, maxInstrs int) []Gadget {
 	legit := legitBoundaries(bin, isa.X86)
 	var out []Gadget
 	seen := make(map[uint32]bool)
+	scratch := make([]isa.Inst, 0, maxInstrs+1)
 	for off := 0; off < len(text); off++ {
 		addr := base + uint32(off)
 		in, err := isa.DecodeX86(text[off:], addr)
@@ -185,7 +190,7 @@ func mineX86(bin *fatbin.Binary, maxInstrs int) []Gadget {
 			if seen[start] {
 				continue
 			}
-			instrs := decodeRun(text, base, isa.X86, start, enderEnd, maxInstrs)
+			instrs := decodeRun(text, base, isa.X86, start, enderEnd, maxInstrs, scratch)
 			if instrs == nil {
 				continue
 			}
@@ -203,7 +208,7 @@ func mineX86(bin *fatbin.Binary, maxInstrs int) []Gadget {
 				Ender:   ender,
 				Aligned: legit[start],
 				Func:    name,
-				Instrs:  instrs,
+				Instrs:  slices.Clone(instrs),
 			})
 		}
 	}
@@ -216,6 +221,7 @@ func mineARM(bin *fatbin.Binary, maxInstrs int) []Gadget {
 	base := uint32(fatbin.ARMTextBase)
 	legit := legitBoundaries(bin, isa.ARM)
 	var out []Gadget
+	scratch := make([]isa.Inst, 0, maxInstrs+1)
 	for off := 0; off+4 <= len(text); off += 4 {
 		addr := base + uint32(off)
 		in, err := isa.DecodeARM(text[off:], addr)
@@ -232,7 +238,7 @@ func mineARM(bin *fatbin.Binary, maxInstrs int) []Gadget {
 			if int(start)-int(base) < 0 {
 				break
 			}
-			instrs := decodeRun(text, base, isa.ARM, start, enderEnd, maxInstrs)
+			instrs := decodeRun(text, base, isa.ARM, start, enderEnd, maxInstrs, scratch)
 			if instrs == nil {
 				continue
 			}
@@ -249,7 +255,7 @@ func mineARM(bin *fatbin.Binary, maxInstrs int) []Gadget {
 				Ender:   ender,
 				Aligned: legit[start],
 				Func:    name,
-				Instrs:  instrs,
+				Instrs:  slices.Clone(instrs),
 			})
 		}
 	}

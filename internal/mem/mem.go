@@ -72,6 +72,19 @@ type page struct {
 	// owning goroutine, so the write barrier pays a plain bool check, not
 	// an atomic.
 	shared bool
+	// zero marks a demand-zero page: data aliases zeroPage and nothing has
+	// written it yet. zero implies shared, so the first write goes through
+	// ensureOwned.
+	zero bool
+}
+
+// zeroPage backs every demand-zero page of every Memory. It is never
+// written: every write path privatizes its page (ensureOwned) first.
+var zeroPage [PageSize]byte
+
+// newZeroPage returns a demand-zero page with the given permissions.
+func newZeroPage(perm Perm) *page {
+	return &page{data: zeroPage[:], perm: perm, shared: true, zero: true}
 }
 
 // Region is a named address range of the process layout.
@@ -241,7 +254,7 @@ func (m *Memory) Map(name string, addr, size uint32, perm Perm) Region {
 			pg.perm = perm
 		} else {
 			// A fresh page cannot have cached decodes: no generation bump.
-			m.pages[pn] = &page{data: make([]byte, PageSize), perm: perm}
+			m.pages[pn] = newZeroPage(perm)
 		}
 	}
 	r := Region{Name: name, Base: addr, Size: size, Perm: perm}
@@ -300,17 +313,23 @@ func (m *Memory) RegionAt(addr uint32) (Region, bool) {
 
 // ensureOwned privatizes a page whose data is aliased by a snapshot or a
 // sibling fork: the bytes are copied and the shared flag drops, so the
-// write about to happen cannot leak into other address spaces. Pages never
-// shared (the common case after warm-up) cost one predictable branch.
+// write about to happen cannot leak into other address spaces. A
+// demand-zero page gets fresh zeroed bytes instead, and counts no break.
+// Pages never shared (the common case after warm-up) cost one predictable
+// branch.
 func (m *Memory) ensureOwned(pg *page) {
 	if !pg.shared {
 		return
 	}
 	nd := make([]byte, PageSize)
-	copy(nd, pg.data)
+	if pg.zero {
+		pg.zero = false
+	} else {
+		copy(nd, pg.data)
+		m.cowBroken++
+	}
 	pg.data = nd
 	pg.shared = false
-	m.cowBroken++
 }
 
 // CowBroken returns how many shared pages this Memory has privatized
@@ -320,11 +339,11 @@ func (m *Memory) CowBroken() uint64 { return m.cowBroken }
 // SharedPages returns how many of this Memory's pages still alias bytes
 // owned jointly with a snapshot or sibling fork. A freshly forked Memory
 // shares everything; the count decays as the write barrier privatizes
-// pages.
+// pages. Demand-zero pages alias only zeroPage and are not counted.
 func (m *Memory) SharedPages() int {
 	n := 0
 	for _, pg := range m.pages {
-		if pg.shared {
+		if pg.shared && !pg.zero {
 			n++
 		}
 	}
@@ -403,7 +422,7 @@ func (m *Memory) WriteForce(addr uint32, buf []byte) {
 		pn := off / PageSize
 		pg, ok := m.pages[pn]
 		if !ok {
-			pg = &page{data: make([]byte, PageSize)}
+			pg = newZeroPage(0)
 			m.pages[pn] = pg
 		}
 		m.ensureOwned(pg)
@@ -552,7 +571,10 @@ type snapPage struct {
 
 // Snapshot freezes the current image. Every live page is marked shared, so
 // the source Memory's next write to it copies first — the snapshot's bytes
-// never change after this call. Cost is O(page-table), zero byte copies.
+// never change after this call. Demand-zero pages lose their zero mark:
+// their bytes are now aliased with the snapshot, so a later write counts
+// as a copy-on-write break like any other. Cost is O(page-table), zero
+// byte copies.
 func (m *Memory) Snapshot() *Snapshot {
 	s := &Snapshot{
 		pages:    make(map[uint32]snapPage, len(m.pages)),
@@ -563,6 +585,7 @@ func (m *Memory) Snapshot() *Snapshot {
 	}
 	for pn, pg := range m.pages {
 		pg.shared = true
+		pg.zero = false
 		s.pages[pn] = snapPage{data: pg.data, perm: pg.perm, gen: pg.gen}
 	}
 	for n, r := range m.regions {
