@@ -8,6 +8,9 @@
 // benchmarks and -list to see the registry. With -listen the observability
 // server exposes the suite's metrics (per-figure series as they publish),
 // the event stream, and pprof over HTTP while the evaluation runs.
+// SIGINT or SIGTERM cancels mid-sweep: in-flight cells finish, the rest
+// are skipped, and the -metrics-out and -timeline-out artifacts are still
+// written before the cancellation is reported.
 package main
 
 import (
@@ -15,48 +18,54 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
-	"net/http"
 	"os"
-	"os/signal"
-	"time"
 
 	"hipstr"
+	"hipstr/cmd/internal/hostobs"
+	"hipstr/internal/obsrv"
 )
 
-func main() {
-	quick := flag.Bool("quick", false, "reduced sweeps on the three smallest benchmarks")
-	outPath := flag.String("out", "", "also write the report to this file")
-	only := flag.String("only", "", "run a comma-separated subset (e.g. fig9,fig12,httpd)")
-	list := flag.Bool("list", false, "list registered experiments and exit")
-	parallel := flag.Int("parallel", 0, "worker pool per experiment (0 = GOMAXPROCS, 1 = serial)")
-	metricsOut := flag.String("metrics-out", "", "write a metrics JSON artifact (durations, run counters, per-figure series)")
-	resultsOut := flag.String("results-out", "", "write one <experiment>.json result artifact per experiment into this directory")
-	keepGoing := flag.Bool("keep-going", false, "continue with remaining experiments after a failure")
-	listen := flag.String("listen", "", "serve live observability endpoints on this address (e.g. 127.0.0.1:9121)")
-	timelineOut := flag.String("timeline-out", "", "write the experiment/cell span timeline as Chrome trace JSON (open in ui.perfetto.dev)")
-	flag.Parse()
+func main() { hostobs.Main(run) }
+
+// run executes one hipstr-bench invocation with the given command-line
+// arguments, writing its report to stdout; ctx cancellation stops the
+// sweep after the in-flight cells.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("hipstr-bench", flag.ExitOnError)
+	quick := fs.Bool("quick", false, "reduced sweeps on the three smallest benchmarks")
+	outPath := fs.String("out", "", "also write the report to this file")
+	only := fs.String("only", "", "run a comma-separated subset (e.g. fig9,fig12,httpd)")
+	list := fs.Bool("list", false, "list registered experiments and exit")
+	parallel := fs.Int("parallel", 0, "worker pool per experiment (0 = GOMAXPROCS, 1 = serial)")
+	resultsOut := fs.String("results-out", "", "write one <experiment>.json result artifact per experiment into this directory")
+	keepGoing := fs.Bool("keep-going", false, "continue with remaining experiments after a failure")
+	var obs hostobs.Host
+	obs.Register(fs)
+	obs.RegisterTimeline(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *list {
 		for _, e := range hipstr.Experiments() {
-			fmt.Printf("%-8s %s\n", e.Name(), e.Description())
+			fmt.Fprintf(stdout, "%-8s %s\n", e.Name(), e.Description())
 		}
-		return
+		return nil
 	}
 
 	exps, err := hipstr.SelectExperiments(*only)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	var w io.Writer = os.Stdout
+	w := stdout
 	if *outPath != "" {
 		f, err := os.Create(*outPath)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer f.Close()
-		w = io.MultiWriter(os.Stdout, f)
+		w = io.MultiWriter(stdout, f)
 	}
 
 	var s *hipstr.ExperimentSuite
@@ -68,78 +77,27 @@ func main() {
 	s.Parallel = *parallel
 	tel := hipstr.NewTelemetry()
 	s.Telemetry = tel
-	if *timelineOut != "" || *listen != "" {
-		tel.EnableSpans(0)
-	}
-
-	// Ctrl-C cancels mid-sweep: in-flight cells finish, the rest are
-	// skipped, and the run reports the cancellation.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
+	obs.Start(w, tel)
+	defer obs.Close()
 
 	// The suite registry carries no collectors (experiments publish series
-	// with atomic writes), so handlers can snapshot it live from any
-	// goroutine — no pump needed here, unlike hipstr-run.
-	if *listen != "" {
-		srv, err := hipstr.NewObservabilityServer(*listen, hipstr.ObservabilityOptions{
-			Snapshot: func() (hipstr.MetricsSnapshot, bool) { return tel.Snapshot(), true },
-			Trace:    tel.Trace,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("observability: serving http://%s/\n", srv.Addr())
-		go func() {
-			if err := srv.Serve(); err != nil && err != http.ErrServerClosed {
-				log.Fatal(err)
-			}
-		}()
-		defer func() {
-			sctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-			defer cancel()
-			if err := srv.Shutdown(sctx); err != nil {
-				log.Printf("observability shutdown: %v", err)
-			}
-		}()
+	// with atomic writes), so handlers snapshot it live from any goroutine.
+	if err := obs.Serve(obsrv.Options{}, nil); err != nil {
+		return err
 	}
 
-	results, err := hipstr.RunExperiments(ctx, s, exps, hipstr.ExperimentOptions{
+	results, runErr := hipstr.RunExperiments(ctx, s, exps, hipstr.ExperimentOptions{
 		ResultsDir:      *resultsOut,
 		ContinueOnError: *keepGoing,
 	})
-	if err != nil {
-		log.Fatal(err)
+	if runErr == nil {
+		fmt.Fprintln(w, "\ndone.")
+		if *resultsOut != "" {
+			fmt.Fprintf(w, "%d result artifacts written to %s\n", len(results), *resultsOut)
+		}
 	}
-	fmt.Fprintln(w, "\ndone.")
-	if *resultsOut != "" {
-		fmt.Fprintf(w, "%d result artifacts written to %s\n", len(results), *resultsOut)
+	if err := obs.WriteArtifacts(); err != nil {
+		return err
 	}
-
-	if *timelineOut != "" {
-		f, err := os.Create(*timelineOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := hipstr.WriteChromeTrace(f, tel.Trace.Records()); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(w, "timeline written to %s (%d records; open in ui.perfetto.dev)\n",
-			*timelineOut, tel.Trace.Recorded())
-	}
-	if *metricsOut != "" {
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := tel.Snapshot().WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(w, "metrics artifact written to %s\n", *metricsOut)
-	}
+	return runErr
 }

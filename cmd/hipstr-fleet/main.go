@@ -21,56 +21,62 @@
 // prototype is booted and warmed. cmd/hipstr-top renders all of it as a
 // live terminal console.
 //
-// SIGINT drains gracefully: admission stops, workers finish their
-// in-flight slices, and the final -metrics-out snapshot and incident
-// artifacts are still written before exit.
+// After the drain the monitor keeps sampling, up to -incident-settle,
+// until no rule is open or pending, so incident lifecycles close.
+// SIGINT or SIGTERM drains gracefully: admission stops, workers finish
+// their in-flight slices, and the final -metrics-out snapshot and
+// incident artifacts are still written before exit.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
-	"net/http"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
+	"sync"
 	"time"
 
+	"hipstr/cmd/internal/hostobs"
 	"hipstr/internal/core"
 	"hipstr/internal/fleet"
 	"hipstr/internal/health"
 	"hipstr/internal/obsrv"
-	"hipstr/internal/telemetry"
 	"hipstr/internal/workload"
 )
 
-func main() {
-	workloads := flag.String("workloads", "libquantum", "comma-separated workload profiles tenants run")
-	guests := flag.Int("guests", 2000, "number of tenants to admit")
-	rate := flag.Float64("rate", 0, "target admissions/sec for the open-loop Poisson generator (0 = admit back-to-back)")
-	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	slice := flag.Uint64("slice", fleet.DefaultSliceSteps, "step budget per dispatch slice")
-	quota := flag.Uint64("quota", 200_000, "per-life step quota retiring a tenant (0 = run to completion)")
-	seed := flag.Int64("seed", 1, "fleet seed rooting every deterministic stream")
-	migrateProb := flag.Float64("migrate-prob", 1.0, "per-security-event migration probability (hipstr mode)")
-	attackProb := flag.Float64("attack-prob", 0, "per-slice probability of an injected breach (exercises kill/respawn)")
-	respawnLimit := flag.Int("respawn-limit", 3, "breach respawns before a tenant is killed for good")
-	cacheQuota := flag.Uint("cache-quota", 0, "per-tenant code cache bytes per ISA (0 = engine default)")
-	warmup := flag.Uint64("warmup", 50_000, "prototype warmup steps populating the shared unit cache")
-	cold := flag.Bool("cold", false, "cold admission: boot every tenant from scratch (baseline vs warm forking)")
-	mode := flag.String("mode", "hipstr", "psr | hipstr")
-	listen := flag.String("listen", "", "serve observability + /tenants drill-down on this address")
-	linger := flag.Bool("linger", false, "with -listen, keep serving after the drain until Ctrl-C")
-	metricsOut := flag.String("metrics-out", "", "write the final aggregate metrics snapshot as JSON to this file")
-	report := flag.Duration("report", 2*time.Second, "print a fleet status line this often (0 = none)")
-	healthIv := flag.Duration("health-interval", 250*time.Millisecond, "health monitor sampling interval (0 = health engine off)")
-	healthWindow := flag.Int("health-window", 0, "history ring size in samples (0 = default)")
-	incidentDir := flag.String("incident-dir", "", "dump each incident flight-recorder bundle as JSON into this directory")
-	settle := flag.Duration("incident-settle", 5*time.Second, "after the drain, keep sampling up to this long so open incidents can resolve")
-	flag.Parse()
+func main() { hostobs.Main(run) }
+
+// run executes one hipstr-fleet invocation with the given command-line
+// arguments, writing its report to stdout; ctx cancellation drains the
+// fleet (and ends the -listen linger).
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("hipstr-fleet", flag.ExitOnError)
+	workloads := fs.String("workloads", "libquantum", "comma-separated workload profiles tenants run")
+	guests := fs.Int("guests", 2000, "number of tenants to admit")
+	rate := fs.Float64("rate", 0, "target admissions/sec for the open-loop Poisson generator (0 = admit back-to-back)")
+	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
+	slice := fs.Uint64("slice", fleet.DefaultSliceSteps, "step budget per dispatch slice")
+	quota := fs.Uint64("quota", 200_000, "per-life step quota retiring a tenant (0 = run to completion)")
+	seed := fs.Int64("seed", 1, "fleet seed rooting every deterministic stream")
+	migrateProb := fs.Float64("migrate-prob", 1.0, "per-security-event migration probability (hipstr mode)")
+	attackProb := fs.Float64("attack-prob", 0, "per-slice probability of an injected breach (exercises kill/respawn)")
+	respawnLimit := fs.Int("respawn-limit", 3, "breach respawns before a tenant is killed for good")
+	cacheQuota := fs.Uint("cache-quota", 0, "per-tenant code cache bytes per ISA (0 = engine default)")
+	warmup := fs.Uint64("warmup", 50_000, "prototype warmup steps populating the shared unit cache")
+	cold := fs.Bool("cold", false, "cold admission: boot every tenant from scratch (baseline vs warm forking)")
+	mode := fs.String("mode", "hipstr", "psr | hipstr")
+	report := fs.Duration("report", 2*time.Second, "print a fleet status line this often (0 = none)")
+	healthIv := fs.Duration("health-interval", 250*time.Millisecond, "health monitor sampling interval (0 = health engine off)")
+	incidentDir := fs.String("incident-dir", "", "dump each incident flight-recorder bundle as JSON into this directory")
+	settle := fs.Duration("incident-settle", 5*time.Second, "after the drain, keep sampling up to this long so open and pending incidents can resolve")
+	var obs hostobs.Host
+	obs.Register(fs)
+	obs.RegisterLinger(fs, false)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	cfg := fleet.DefaultConfig()
 	cfg.Workers = *workers
@@ -89,13 +95,12 @@ func main() {
 	case "hipstr":
 		cfg.Mode = core.ModeHIPStR
 	default:
-		log.Fatalf("unknown -mode %q (want psr or hipstr)", *mode)
+		return fmt.Errorf("unknown -mode %q (want psr or hipstr)", *mode)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	h := fleet.NewHost(cfg)
+	obs.Start(stdout, h.Telemetry())
+	defer obs.Close()
 
 	// The health engine: rolling history + built-in fleet rules + the
 	// incident flight recorder, fed off the scrape-safe aggregate
@@ -103,9 +108,8 @@ func main() {
 	var mon *health.Monitor
 	if *healthIv > 0 || *incidentDir != "" {
 		mon = health.NewMonitor(health.Config{
-			WindowSamples: *healthWindow,
-			Rules:         fleet.DefaultHealthRules(),
-			Telemetry:     h.Telemetry(),
+			Rules:     fleet.DefaultHealthRules(),
+			Telemetry: h.Telemetry(),
 			Recorder: health.RecorderConfig{
 				Events:  h.Telemetry().Trace.Tail,
 				Tenants: h,
@@ -122,110 +126,70 @@ func main() {
 	}
 
 	// Serve before the prototypes boot so /healthz answers immediately
-	// and /readyz honestly reports the warmup window.
-	var srv *obsrv.Server
-	if *listen != "" {
-		snapFn := func() (telemetry.Snapshot, bool) {
-			return h.Telemetry().Snapshot(), true
-		}
-		opts := obsrv.Options{
-			Snapshot: snapFn,
-			Trace:    h.Telemetry().Trace,
-			Tenants:  h,
-			Health: func() string {
-				a := h.Aggregates()
-				return fmt.Sprintf("fleet: %d active, %d/%d retired",
-					a.Active, a.Completed+a.Killed, a.Admitted)
-			},
-			Ready: func() (bool, string) {
-				if !h.Ready() {
-					return false, "fleet prototypes still warming"
-				}
-				return true, "fleet prototypes warmed"
-			},
-		}
-		if mon != nil {
-			opts.History = mon.HistoryHandler()
-			opts.Incidents = mon.Recorder.Handler()
-		}
-		var err error
-		srv, err = obsrv.New(*listen, opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("observability: serving http://%s/ (metrics, tenants, history, incidents)\n", srv.Addr())
-		go func() {
-			if err := srv.Serve(); err != nil && err != http.ErrServerClosed {
-				log.Printf("observability: %v", err)
+	// and /readyz honestly reports the warmup window. The fleet registry
+	// is scrape-safe, so handlers snapshot it live.
+	err := obs.Serve(obsrv.Options{
+		Tenants: h,
+		Health: func() string {
+			a := h.Aggregates()
+			return fmt.Sprintf("fleet: %d active, %d/%d retired",
+				a.Active, a.Completed+a.Killed, a.Admitted)
+		},
+		Ready: func() (bool, string) {
+			if !h.Ready() {
+				return false, "fleet prototypes still warming"
 			}
-		}()
+			return true, "fleet prototypes warmed"
+		},
+	}, mon)
+	if err != nil {
+		return err
 	}
 
 	names := strings.Split(*workloads, ",")
 	for i, n := range names {
 		names[i] = strings.TrimSpace(n)
 		if err := h.AddWorkload(names[i]); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	h.MarkReady()
 
 	// The monitor samples on its own ticker: fleet collectors read only
-	// atomics, so snapshotting off the worker goroutines is safe.
-	monQuit := make(chan struct{})
-	monDone := make(chan struct{})
+	// atomics, so snapshotting off the worker goroutines is safe. A
+	// baseline sample before admission lets a storm shorter than one
+	// interval still show up as a rate.
+	iv := *healthIv
+	if iv <= 0 {
+		iv = 250 * time.Millisecond
+	}
+	sample := func() { mon.ObserveNow(h.Telemetry().Snapshot()) }
+	stopSampler := func() {}
 	if mon != nil {
-		iv := *healthIv
-		if iv <= 0 {
-			iv = 250 * time.Millisecond
-		}
-		go func() {
-			defer close(monDone)
-			tick := time.NewTicker(iv)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tick.C:
-					mon.ObserveNow(h.Telemetry().Snapshot())
-				case <-monQuit:
-					return
-				}
-			}
-		}()
+		sample()
+		stopSampler = every(iv, sample)
+		defer stopSampler()
 	}
 
 	h.Start(ctx)
-	var rep *time.Ticker
 	if *report > 0 {
-		rep = time.NewTicker(*report)
-		done := make(chan struct{})
-		defer close(done)
-		go func() {
-			for {
-				select {
-				case <-rep.C:
-					a := h.Aggregates()
-					open := 0
-					if mon != nil {
-						open = mon.OpenIncidents()
-					}
-					fmt.Printf("fleet: admitted %d  active %d (peak %d)  done %d  rps %.0f  p99 %.0fms  steals %d  respawns %d  incidents open %d\n",
-						a.Admitted, a.Active, a.ActivePeak,
-						a.Completed+a.Killed, a.RPS,
-						a.LatencyP99us/1000, a.Steals, a.Respawns, open)
-				case <-done:
-					return
-				}
+		defer every(*report, func() {
+			a := h.Aggregates()
+			open := 0
+			if mon != nil {
+				open = mon.OpenIncidents()
 			}
-		}()
-		defer rep.Stop()
+			fmt.Fprintf(stdout, "fleet: admitted %d  active %d (peak %d)  done %d  rps %.0f  p99 %.0fms  steals %d  respawns %d  incidents open %d\n",
+				a.Admitted, a.Active, a.ActivePeak,
+				a.Completed+a.Killed, a.RPS,
+				a.LatencyP99us/1000, a.Steals, a.Respawns, open)
+		})()
 	}
 
 	// Open-loop admission: the schedule is fixed by the seed and rate; a
 	// saturated host falls behind it rather than slowing it down.
 	arr := workload.NewArrivals(*seed, *rate)
-	start := time.Now()
-	next := start
+	next := time.Now()
 	admitted := 0
 	for ; admitted < *guests && ctx.Err() == nil; admitted++ {
 		next = next.Add(arr.Next())
@@ -239,7 +203,9 @@ func main() {
 			}
 		}
 		if _, err := h.Admit(names[admitted%len(names)]); err != nil {
-			log.Fatal(err)
+			h.Close()
+			h.Wait() // drain the workers; the admission error is the one to report
+			return err
 		}
 	}
 	h.Close()
@@ -247,66 +213,73 @@ func main() {
 		if admitted == *guests {
 			log.Printf("fleet: %v", err)
 		} else {
-			fmt.Printf("interrupted: admission stopped at %d/%d, in-flight slices finished\n",
+			fmt.Fprintf(stdout, "interrupted: admission stopped at %d/%d, in-flight slices finished\n",
 				admitted, *guests)
 		}
 	}
 
-	// Let open incidents resolve (a storm's rate decays to zero once the
-	// drain ends) so the final artifacts carry closed lifecycles; an
-	// interrupt skips the settle.
+	// Settle: keep sampling until no rule is open or still pending (a
+	// storm's rate decays to zero once the drain ends), bounded by
+	// -incident-settle, so the final artifacts carry closed lifecycles.
+	// A breach pending at the drain must be waited out too, or the final
+	// sample could open an incident nothing is left to resolve. The last
+	// sample is taken inside the loop; an interrupt skips the wait.
 	if mon != nil {
-		if *settle > 0 && ctx.Err() == nil {
-			deadline := time.Now().Add(*settle)
-			for mon.OpenIncidents() > 0 && time.Now().Before(deadline) {
-				time.Sleep(50 * time.Millisecond)
+		stopSampler()
+		deadline := time.Now().Add(*settle)
+		for {
+			sample()
+			if mon.Engine.Settled() || ctx.Err() != nil || time.Until(deadline) < iv {
+				break
 			}
+			time.Sleep(iv)
 		}
-		close(monQuit)
-		<-monDone
-		mon.ObserveNow(h.Telemetry().Snapshot())
 	}
 
 	a := h.Aggregates()
-	fmt.Printf("fleet complete: %d admitted, %d completed, %d killed in %v\n",
+	fmt.Fprintf(stdout, "fleet complete: %d admitted, %d completed, %d killed in %v\n",
 		a.Admitted, a.Completed, a.Killed, a.Elapsed.Round(time.Millisecond))
-	fmt.Printf("  throughput: %.1f req/s  (%d steps, %d slices, %d steals)\n",
+	fmt.Fprintf(stdout, "  throughput: %.1f req/s  (%d steps, %d slices, %d steals)\n",
 		a.RPS, a.Steps, a.Slices, a.Steals)
-	fmt.Printf("  latency: p50 %.2fms  p99 %.2fms\n",
+	fmt.Fprintf(stdout, "  latency: p50 %.2fms  p99 %.2fms\n",
 		a.LatencyP50us/1000, a.LatencyP99us/1000)
-	fmt.Printf("  defense: %d breaches, %d respawns, %d migrations\n",
+	fmt.Fprintf(stdout, "  defense: %d breaches, %d respawns, %d migrations\n",
 		a.Breaches, a.Respawns, a.Migrations)
 	if mon != nil {
 		opened, resolved, _ := mon.Recorder.Counts()
-		fmt.Printf("  health: %d incidents opened, %d resolved, %d still open\n",
+		fmt.Fprintf(stdout, "  health: %d incidents opened, %d resolved, %d still open\n",
 			opened, resolved, opened-resolved)
 		if err := mon.Recorder.DumpErr(); err != nil {
 			log.Printf("incident artifacts: %v", err)
 		} else if *incidentDir != "" && opened > 0 {
-			fmt.Printf("  incident bundles written to %s\n", *incidentDir)
+			fmt.Fprintf(stdout, "  incident bundles written to %s\n", *incidentDir)
 		}
 	}
 
-	if *metricsOut != "" {
-		buf, err := json.MarshalIndent(h.Telemetry().Snapshot(), "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(*metricsOut, buf, 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("metrics written to %s\n", *metricsOut)
+	if err := obs.WriteArtifacts(); err != nil {
+		return err
 	}
+	obs.Linger(ctx, "drain complete")
+	return nil
+}
 
-	if srv != nil {
-		if *linger && ctx.Err() == nil {
-			fmt.Printf("drain complete; observability server still on http://%s/ (Ctrl-C to exit)\n", srv.Addr())
-			<-ctx.Done()
+// every calls fn every d on its own goroutine until the returned stop is
+// called; stop is idempotent and returns once the goroutine has exited.
+func every(d time.Duration, fn func()) (stop func()) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(d)
+		defer tick.Stop()
+		for {
+			select {
+			case <-tick.C:
+				fn()
+			case <-quit:
+				return
+			}
 		}
-		sctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(sctx); err != nil {
-			log.Printf("observability shutdown: %v", err)
-		}
-	}
+	}()
+	var once sync.Once
+	return func() { once.Do(func() { close(quit); <-done }) }
 }

@@ -14,15 +14,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
-	"time"
 
 	"hipstr"
+	"hipstr/cmd/internal/hostobs"
 	"hipstr/internal/health"
 	"hipstr/internal/isa"
 	"hipstr/internal/machine"
@@ -32,13 +28,7 @@ import (
 	"hipstr/internal/telemetry"
 )
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
-		log.Fatal(err)
-	}
-}
+func main() { hostobs.Main(run) }
 
 // run executes one hipstr-run invocation with the given command-line
 // arguments, writing its report to stdout; ctx cancellation interrupts
@@ -50,24 +40,21 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	isaName := fs.String("isa", "x86", "ISA to run on (native) or start on (psr/hipstr): x86 | arm")
 	steps := fs.Uint64("steps", 50_000_000, "instruction budget")
 	seed := fs.Int64("seed", 1, "randomization seed")
-	metricsOut := fs.String("metrics-out", "", "write the final metrics snapshot as JSON to this file")
 	traceOut := fs.String("trace-out", "", "stream the trace records (points, plus spans when recorded) to this file as JSON lines")
-	timelineOut := fs.String("timeline-out", "", "write the trace timeline as Chrome trace JSON (open in ui.perfetto.dev); turns on span recording")
 	interval := fs.Uint64("report-interval", 10_000_000, "print live stats every N instructions (0 = only at exit)")
-	listen := fs.String("listen", "", "serve live observability endpoints on this address (e.g. 127.0.0.1:9120)")
-	linger := fs.Bool("linger", true, "with -listen, keep serving after the run until Ctrl-C (use -linger=false for scripted runs)")
 	profileOut := fs.String("profile-out", "", "write folded flamegraph stacks of the guest-cycle profile to this file")
 	profileInterval := fs.Uint64("profile-interval", profiler.DefaultInterval, "guest-cycle sampling period in instructions")
+	var obs hostobs.Host
+	obs.Register(fs)
+	obs.RegisterTimeline(fs)
+	obs.RegisterLinger(fs, true)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
 	tel := hipstr.NewTelemetry()
-	// Span recording is strictly opt-in: without -timeline-out or -listen
-	// the tracer records points only, and span sites cost one check.
-	if *timelineOut != "" || *listen != "" {
-		tel.EnableSpans(0)
-	}
+	obs.Start(stdout, tel)
+	defer obs.Close()
 	var traceSink *telemetry.JSONLSink
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
@@ -92,7 +79,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	// The profiler is strictly opt-in: without -profile-out or -listen no
 	// hook is attached and the dispatch loop runs untouched.
 	var prof *profiler.Profiler
-	if *profileOut != "" || *listen != "" {
+	if *profileOut != "" || obs.Listen != "" {
 		prof = profiler.New(bin, *profileInterval)
 		prof.BindTelemetry(tel)
 	}
@@ -211,16 +198,13 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 
 	// The observability server never touches VM state: this goroutine
-	// publishes snapshots through the pump at chunk boundaries and handlers
-	// serve the latest published copy.
-	var pump obsrv.Pump
-	var srv *obsrv.Server
-	// The health engine rides the pump: every published snapshot also
-	// lands in the rolling history ring and is evaluated against the
-	// single-VM rule set, so /history and /incidents work on one guest
-	// exactly as they do on a fleet.
+	// feeds a snapshot to the health monitor at each chunk boundary and
+	// handlers serve the last one it observed. Every snapshot also lands
+	// in the rolling history ring and is evaluated against the single-VM
+	// rule set, so /history and /incidents work on one guest exactly as
+	// they do on a fleet.
 	var mon *health.Monitor
-	if *listen != "" {
+	if obs.Listen != "" {
 		rcfg := health.RecorderConfig{Events: tel.Trace.Tail}
 		if prof != nil {
 			rcfg.Profile = func() (string, bool) {
@@ -240,26 +224,14 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			Telemetry: tel,
 			Recorder:  rcfg,
 		})
-		opts := obsrv.Options{
-			Snapshot:  pump.Latest,
-			Trace:     tel.Trace,
-			History:   mon.HistoryHandler(),
-			Incidents: mon.Recorder.Handler(),
-		}
+		mon.ObserveNow(tel.Snapshot())
+		opts := obsrv.Options{Snapshot: mon.Latest}
 		if prof != nil {
 			opts.Profile = func() (profiler.Report, bool) { return prof.Report(), true }
 		}
-		srv, err = obsrv.New(*listen, opts)
-		if err != nil {
+		if err := obs.Serve(opts, mon); err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "observability: serving http://%s/ (metrics, stats.json, events, profile, debug/pprof)\n", srv.Addr())
-		go func() {
-			if err := srv.Serve(); err != nil && err != http.ErrServerClosed {
-				log.Fatal(err)
-			}
-		}()
-		pump.Publish(tel.Snapshot())
 	}
 
 	// When serving, cap chunks so scrapes see fresh counters even between
@@ -272,17 +244,14 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		if *interval != 0 && chunk > *interval {
 			chunk = *interval
 		}
-		if srv != nil && chunk > publishChunk {
+		if mon != nil && chunk > publishChunk {
 			chunk = publishChunk
 		}
 		ran, exited, err := runChunk(chunk)
 		total += ran
 		due := *interval != 0 && !exited && total-lastReport >= *interval
-		if srv != nil || due {
+		if mon != nil || due {
 			snap := tel.Snapshot()
-			if srv != nil {
-				pump.Publish(snap)
-			}
 			if mon != nil {
 				mon.ObserveNow(snap)
 			}
@@ -304,15 +273,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "interrupted after %d instructions\n", total)
 	}
 	finish()
-	if srv != nil {
-		snap := tel.Snapshot()
-		pump.Publish(snap)
-		if mon != nil {
-			mon.ObserveNow(snap)
-			if opened, resolved, _ := mon.Recorder.Counts(); opened > 0 {
-				fmt.Fprintf(stdout, "health: %d incidents opened, %d resolved (see /incidents)\n",
-					opened, resolved)
-			}
+	if mon != nil {
+		mon.ObserveNow(tel.Snapshot())
+		if opened, resolved, _ := mon.Recorder.Counts(); opened > 0 {
+			fmt.Fprintf(stdout, "health: %d incidents opened, %d resolved (see /incidents)\n",
+				opened, resolved)
 		}
 	}
 
@@ -321,25 +286,14 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "profile: %d samples, %.1f%% of %.3e cycles attributed to guest functions\n",
 			rep.Samples, 100*rep.AttributedRatio, rep.TotalCycles)
 		if *profileOut != "" {
-			if err := writeFile(*profileOut, rep.WriteFolded); err != nil {
+			if err := hostobs.WriteFile(*profileOut, rep.WriteFolded); err != nil {
 				return err
 			}
 			fmt.Fprintf(stdout, "folded profile written to %s\n", *profileOut)
 		}
 	}
-	if *timelineOut != "" {
-		recs := tel.Trace.Records()
-		if err := writeFile(*timelineOut, func(w io.Writer) error { return hipstr.WriteChromeTrace(w, recs) }); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "timeline written to %s (%d records; open in ui.perfetto.dev)\n",
-			*timelineOut, len(recs))
-	}
-	if *metricsOut != "" {
-		if err := writeFile(*metricsOut, tel.Snapshot().WriteJSON); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "metrics snapshot written to %s\n", *metricsOut)
+	if err := obs.WriteArtifacts(); err != nil {
+		return err
 	}
 	if *traceOut != "" {
 		if err := traceSink.Err(); err != nil {
@@ -347,35 +301,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "trace written to %s (%d records)\n", *traceOut, traceSink.Written())
 	}
-
-	// Linger so late scrapers (dashboards, CI curl loops) can read the
-	// final state; Ctrl-C / SIGTERM exits gracefully, and -linger=false
-	// skips the wait entirely for scripted runs.
-	if srv != nil {
-		if *linger && ctx.Err() == nil {
-			fmt.Fprintf(stdout, "run complete; observability server still on http://%s/ (Ctrl-C to exit)\n", srv.Addr())
-			<-ctx.Done()
-		}
-		sctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(sctx); err != nil {
-			log.Printf("observability shutdown: %v", err)
-		}
-	}
+	obs.Linger(ctx, "run complete")
 	return nil
-}
-
-// writeFile creates path and fills it with write.
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // reportLive prints one compact live-stats line from the current snapshot

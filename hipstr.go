@@ -45,7 +45,6 @@ import (
 	"hipstr/internal/gadget"
 	"hipstr/internal/isa"
 	"hipstr/internal/migrate"
-	"hipstr/internal/obsrv"
 	"hipstr/internal/perf"
 	"hipstr/internal/proc"
 	"hipstr/internal/profiler"
@@ -197,12 +196,6 @@ type Tracer = telemetry.Tracer
 // TraceSink receives every trace record as it is recorded.
 type TraceSink = telemetry.Sink
 
-// WriteChromeTrace writes trace records as Chrome trace-event JSON,
-// loadable in ui.perfetto.dev or chrome://tracing.
-func WriteChromeTrace(w io.Writer, records []TraceRecord) error {
-	return telemetry.WriteChromeTrace(w, records)
-}
-
 // NewTelemetry returns a fresh metrics registry + tracer pair.
 func NewTelemetry() *Telemetry { return telemetry.New() }
 
@@ -224,26 +217,6 @@ type ProfileReport = profiler.Report
 // with Attach (machine hook), BindModel (timing-model cycles), and
 // SetResolver (code-cache PC mapping, e.g. dbt.VM.ResolvePC).
 func NewProfiler(bin *Binary, interval uint64) *Profiler { return profiler.New(bin, interval) }
-
-// ObservabilityOptions configures the embedded observability server's
-// endpoints (/metrics, /stats.json, /events, /profile, /healthz,
-// /debug/pprof/).
-type ObservabilityOptions = obsrv.Options
-
-// ObservabilityServer serves live telemetry over HTTP while a simulation
-// runs.
-type ObservabilityServer = obsrv.Server
-
-// TelemetryPump hands snapshots from the goroutine driving the VM to the
-// observability server's scrape handlers (Snapshot is only safe on the VM
-// goroutine; Pump.Latest is safe anywhere).
-type TelemetryPump = obsrv.Pump
-
-// NewObservabilityServer listens on addr and serves the configured
-// observability endpoints (call Serve to start, Shutdown to stop).
-func NewObservabilityServer(addr string, o ObservabilityOptions) (*ObservabilityServer, error) {
-	return obsrv.New(addr, o)
-}
 
 // Fleet is a multi-tenant host: it admits guest VMs forked from
 // per-workload prototype snapshots (warm admission) and executes them on

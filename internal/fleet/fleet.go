@@ -269,8 +269,8 @@ type Host struct {
 
 // NewHost returns a host with its aggregate metrics registered. The
 // gauges (active, peak, rps, injector depth) are collector-backed and
-// read only atomics, so the registry is scrape-safe from any goroutine
-// without a pump.
+// read only atomics, so the registry is scrape-safe from any goroutine:
+// HTTP handlers and the health sampler snapshot it directly.
 func NewHost(cfg Config) *Host {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)

@@ -8,7 +8,8 @@
 // storm has rotated it out of the rings.
 //
 // Everything here runs off the snapshot path: Observe is called by the
-// goroutine that already snapshots the registry (the obsrv pump loop or a
+// goroutine that already snapshots the registry (hipstr-run's chunk loop,
+// whose last observed snapshot the observability server then serves, or a
 // dedicated fleet monitor goroutine), so the guest hot path never sees a
 // single extra instruction, and HTTP reads of history and incidents take
 // their own locks against that one writer.
@@ -60,15 +61,8 @@ type History struct {
 }
 
 // NewHistory returns a history ring keeping the last windowSamples
-// snapshots across at most maxSeries distinct series (<= 0 selects the
-// defaults).
+// snapshots across at most maxSeries distinct series.
 func NewHistory(windowSamples, maxSeries int) *History {
-	if windowSamples <= 0 {
-		windowSamples = DefaultWindowSamples
-	}
-	if maxSeries <= 0 {
-		maxSeries = DefaultMaxSeries
-	}
 	return &History{
 		capacity:  windowSamples,
 		maxSeries: maxSeries,

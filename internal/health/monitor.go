@@ -1,17 +1,15 @@
 package health
 
 import (
+	"sync"
 	"time"
 
 	"hipstr/internal/telemetry"
 )
 
-// Config assembles a Monitor: history bounds, the rule set, and the
-// flight recorder's forensic sources.
+// Config assembles a Monitor: the rule set and the flight recorder's
+// forensic sources. The history ring takes its default bounds.
 type Config struct {
-	// WindowSamples / MaxSeries bound the history ring (0 = defaults).
-	WindowSamples int
-	MaxSeries     int
 	// Rules is the declarative SLO/anomaly rule set.
 	Rules []Rule
 	// Recorder wires the forensic sources and artifact dir.
@@ -23,13 +21,18 @@ type Config struct {
 }
 
 // Monitor owns one history ring, one rule engine, and one incident
-// recorder. Observe is its single write entry point and must be called
-// from one goroutine (the one that snapshots the registry); every other
-// method is safe concurrently with it.
+// recorder, and keeps the last snapshot it observed. Observe is its
+// single write entry point and must be called from one goroutine (the one
+// that snapshots the registry); every other method is safe concurrently
+// with it, except where noted.
 type Monitor struct {
 	History  *History
 	Engine   *Engine
 	Recorder *Recorder
+
+	mu   sync.Mutex
+	last telemetry.Snapshot
+	seen bool
 }
 
 // NewMonitor builds the monitor.
@@ -37,7 +40,7 @@ func NewMonitor(cfg Config) *Monitor {
 	if cfg.Recorder.Emit == nil && cfg.Telemetry != nil {
 		cfg.Recorder.Emit = cfg.Telemetry.Emit
 	}
-	h := NewHistory(cfg.WindowSamples, cfg.MaxSeries)
+	h := NewHistory(DefaultWindowSamples, DefaultMaxSeries)
 	rec := NewRecorder(cfg.Recorder)
 	m := &Monitor{
 		History:  h,
@@ -58,11 +61,25 @@ func NewMonitor(cfg Config) *Monitor {
 	return m
 }
 
-// Observe appends one registry snapshot to the history and evaluates the
-// rules at tsNS.
+// Observe keeps snap as the latest snapshot, appends it to the history
+// and evaluates the rules at tsNS.
 func (m *Monitor) Observe(tsNS int64, snap telemetry.Snapshot) {
+	m.mu.Lock()
+	m.last, m.seen = snap, true
+	m.mu.Unlock()
 	m.History.Append(tsNS, snap)
 	m.Engine.Eval(tsNS)
+}
+
+// Latest returns the last snapshot Observe saw; ok is false before the
+// first. Registry collectors may read state owned by the goroutine that
+// calls Observe, so only that goroutine may snapshot; HTTP handlers on
+// any goroutine serve this copy instead, and because each observed
+// snapshot is newer, successive scrapes still see counters only grow.
+func (m *Monitor) Latest() (telemetry.Snapshot, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.last, m.seen
 }
 
 // ObserveNow is Observe stamped with the current wall clock.

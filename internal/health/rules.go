@@ -206,3 +206,15 @@ func (e *Engine) OpenCount() int {
 	}
 	return n
 }
+
+// Settled reports whether no rule has an open incident or a pending
+// breach (one still short of its For hold). Like Eval, it belongs to the
+// single evaluating goroutine.
+func (e *Engine) Settled() bool {
+	for _, s := range e.states {
+		if s.open != nil || s.badSinceNS != 0 {
+			return false
+		}
+	}
+	return true
+}

@@ -11,19 +11,20 @@ import (
 
 	"hipstr/internal/compiler"
 	"hipstr/internal/dbt"
+	"hipstr/internal/health"
 	"hipstr/internal/isa"
 	"hipstr/internal/obsrv"
 	"hipstr/internal/profiler"
 	"hipstr/internal/testprogs"
 )
 
-// TestConcurrentScrapesDuringExecution is the -race proof of the pump
-// design: one goroutine drives a PSR VM in chunks, publishing a snapshot
-// at every chunk boundary, while scrapers hammer /metrics, /stats.json,
-// and /profile throughout. Registry collectors read non-atomic VM state,
-// so this only stays race-free because handlers never call Snapshot()
-// themselves. Scrapers also assert the published counters never move
-// backwards.
+// TestConcurrentScrapesDuringExecution is the -race proof of serving
+// health.Monitor.Latest: one goroutine drives a PSR VM in chunks,
+// feeding the monitor a snapshot at every chunk boundary, while scrapers
+// hammer /metrics, /stats.json, and /profile throughout. Registry
+// collectors read non-atomic VM state, so this only stays race-free
+// because handlers never call Snapshot() themselves. Scrapers also assert
+// the served counters never move backwards.
 func TestConcurrentScrapesDuringExecution(t *testing.T) {
 	tc := testprogs.All()["nested"]
 	bin, err := compiler.Compile(tc.Mod)
@@ -41,16 +42,16 @@ func TestConcurrentScrapesDuringExecution(t *testing.T) {
 	prof.Attach(vm.P.M)
 	prof.BindTelemetry(vm.Telemetry())
 
-	var pump obsrv.Pump
+	mon := health.NewMonitor(health.Config{})
 	h, _ := obsrv.NewHandler(obsrv.Options{
-		Snapshot: pump.Latest,
+		Snapshot: mon.Latest,
 		Trace:    vm.Telemetry().Trace,
 		Profile:  func() (profiler.Report, bool) { return prof.Report(), true },
 	})
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
-	pump.Publish(vm.Telemetry().Snapshot())
+	mon.ObserveNow(vm.Telemetry().Snapshot())
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
@@ -82,8 +83,8 @@ func TestConcurrentScrapesDuringExecution(t *testing.T) {
 		}()
 	}
 
-	// Drive the VM in small chunks, publishing at each boundary, for as
-	// long as the scrapers run — every scrape overlaps a publish.
+	// Drive the VM in small chunks, observing at each boundary, for as
+	// long as the scrapers run — every scrape overlaps an Observe.
 	scrapersDone := make(chan struct{})
 	go func() { wg.Wait(); close(scrapersDone) }()
 	const chunk = 20_000
@@ -100,7 +101,7 @@ func TestConcurrentScrapesDuringExecution(t *testing.T) {
 					t.Fatal("program did not exit")
 				}
 			}
-			pump.Publish(vm.Telemetry().Snapshot())
+			mon.ObserveNow(vm.Telemetry().Snapshot())
 			continue
 		}
 		break
@@ -109,12 +110,12 @@ func TestConcurrentScrapesDuringExecution(t *testing.T) {
 	if !vm.P.Exited {
 		t.Fatal("program did not exit")
 	}
-	snap, _ := pump.Latest()
+	snap, _ := mon.Latest()
 	if snap.Counters["machine.blockcache.hits"] == 0 {
 		t.Error("no block cache hits recorded")
 	}
 	if snap.Counters["profiler.samples"] == 0 {
-		t.Error("profiler collector not publishing through the pump")
+		t.Error("profiler collector not served through the monitor")
 	}
 }
 

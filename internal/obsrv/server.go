@@ -5,7 +5,8 @@
 // /events, the sampling profiler at /profile, /healthz, and the stdlib
 // pprof handlers under /debug/pprof/ for introspecting the simulator
 // itself. The server never touches VM state directly: scrapes read
-// snapshots published through a Pump by the goroutine driving the VM, and
+// snapshots from Options.Snapshot (for a single VM, the last snapshot
+// its health monitor observed on the goroutine driving the VM), and
 // the SSE hub's fan-out is drop-oldest so a slow curl can never stall
 // translation or migration trap paths.
 package obsrv
@@ -51,8 +52,8 @@ type TenantSource interface {
 // (404 for /profile, 503 for /metrics and /stats.json, empty stream for
 // /events).
 type Options struct {
-	// Snapshot supplies the latest telemetry snapshot (typically
-	// Pump.Latest). ok=false means none has been published yet.
+	// Snapshot supplies the latest telemetry snapshot (for a VM host,
+	// health.Monitor.Latest). ok=false means none has been published yet.
 	Snapshot func() (telemetry.Snapshot, bool)
 	// Trace, when set, feeds /events subscribers (its buffered ring is
 	// replayed as backlog on connect) and serves the ring at /timeline as
@@ -152,14 +153,14 @@ func NewHandler(o Options) (http.Handler, *EventHub) {
 	})
 	mux.HandleFunc("/history", func(w http.ResponseWriter, r *http.Request) {
 		if o.History == nil {
-			http.Error(w, "health engine not attached (hipstr-fleet -health-interval 0 disables it)", http.StatusNotFound)
+			http.Error(w, "health engine not attached to this host", http.StatusNotFound)
 			return
 		}
 		o.History.ServeHTTP(w, r)
 	})
 	incidents := func(w http.ResponseWriter, r *http.Request) {
 		if o.Incidents == nil {
-			http.Error(w, "health engine not attached (hipstr-fleet -health-interval 0 disables it)", http.StatusNotFound)
+			http.Error(w, "health engine not attached to this host", http.StatusNotFound)
 			return
 		}
 		o.Incidents.ServeHTTP(w, r)
@@ -186,7 +187,7 @@ func NewHandler(o Options) (http.Handler, *EventHub) {
 	})
 	mux.HandleFunc("/profile", func(w http.ResponseWriter, r *http.Request) {
 		if o.Profile == nil {
-			http.Error(w, "profiler not enabled (run with -profile-out or -profile-interval)", http.StatusNotFound)
+			http.Error(w, "profiler not attached to this host", http.StatusNotFound)
 			return
 		}
 		rep, ok := o.Profile()

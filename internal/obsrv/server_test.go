@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"hipstr/internal/health"
 	"hipstr/internal/obsrv"
 	"hipstr/internal/telemetry"
 )
@@ -150,8 +151,8 @@ func TestTenantEndpoints(t *testing.T) {
 }
 
 func TestMetricsBeforeFirstPublish(t *testing.T) {
-	var pump obsrv.Pump
-	h, _ := obsrv.NewHandler(obsrv.Options{Snapshot: pump.Latest})
+	mon := health.NewMonitor(health.Config{})
+	h, _ := obsrv.NewHandler(obsrv.Options{Snapshot: mon.Latest})
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -162,7 +163,7 @@ func TestMetricsBeforeFirstPublish(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("pre-publish /metrics = %d, want 503", resp.StatusCode)
 	}
-	pump.Publish(telemetry.NewRegistry().Snapshot())
+	mon.ObserveNow(telemetry.NewRegistry().Snapshot())
 	resp, err = http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
