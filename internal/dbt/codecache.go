@@ -98,12 +98,6 @@ func (c *CodeCache) HitRatio() float64 {
 	return float64(c.Hits) / float64(c.Lookups)
 }
 
-// SourceOf returns the source address a translation unit was made from.
-func (c *CodeCache) SourceOf(cacheAddr uint32) (uint32, bool) {
-	s, ok := c.cacheToSrc[cacheAddr]
-	return s, ok
-}
-
 // UnitAt returns the source address of the translation unit whose code
 // contains cache address addr (any PC inside the unit, not just its
 // start). The sampling profiler uses it to attribute cycles spent in

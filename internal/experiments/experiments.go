@@ -14,8 +14,10 @@ import (
 	"sync"
 
 	"hipstr/internal/compiler"
+	"hipstr/internal/dbt"
 	"hipstr/internal/fatbin"
 	"hipstr/internal/gadget"
+	"hipstr/internal/isa"
 	"hipstr/internal/prog"
 	"hipstr/internal/telemetry"
 	"hipstr/internal/workload"
@@ -72,18 +74,22 @@ func (s *Suite) printf(format string, args ...interface{}) {
 }
 
 // binEntry is one singleflight slot of the compile cache: concurrent cells
-// requesting the same benchmark share one compilation.
+// requesting the same benchmark share one compilation, and the security
+// drivers share one mined gadget population.
 type binEntry struct {
 	once sync.Once
 	bin  *fatbin.Binary
 	mod  *prog.Module
 	err  error
+
+	gadgetOnce sync.Once
+	gadgets    gadgetSummary
 }
 
-// bin compiles (and caches) a benchmark. It is safe for concurrent use:
-// the per-benchmark sync.Once guarantees a single compile no matter how
-// many cells race on the same profile.
-func (s *Suite) bin(p workload.Profile) (*fatbin.Binary, error) {
+// compiled returns p's cache slot with its compilation done. It is safe
+// for concurrent use: the per-benchmark sync.Once guarantees a single
+// compile no matter how many cells race on the same profile.
+func (s *Suite) compiled(p workload.Profile) *binEntry {
 	s.mu.Lock()
 	if s.bins == nil {
 		s.bins = make(map[string]*binEntry)
@@ -103,7 +109,64 @@ func (s *Suite) bin(p workload.Profile) (*fatbin.Binary, error) {
 		}
 		e.bin, e.mod = b, mod
 	})
+	return e
+}
+
+// bin compiles (and caches) a benchmark.
+func (s *Suite) bin(p workload.Profile) (*fatbin.Binary, error) {
+	e := s.compiled(p)
 	return e.bin, e.err
+}
+
+// gadgetSummary is what the security drivers read of one benchmark's
+// x86 gadget population (sampled in Quick mode): its size, and the viable
+// gadgets with their native effects. The rest of the population is
+// dropped once counted, so a suite never holds whole populations.
+type gadgetSummary struct {
+	total   int
+	viable  []gadget.Gadget
+	effects []gadget.Effect // effects[i] is viable[i]'s native effect
+}
+
+// gadgets mines and natively evaluates p's gadget population once per
+// suite (singleflight, like the compile) and returns it with p's binary.
+// Callers must treat the summary as read-only.
+func (s *Suite) gadgets(p workload.Profile) (*fatbin.Binary, gadgetSummary, error) {
+	e := s.compiled(p)
+	if e.err != nil {
+		return nil, gadgetSummary{}, e.err
+	}
+	e.gadgetOnce.Do(func() {
+		gs := s.sampleGadgets(gadget.Mine(e.bin, isa.X86, 0))
+		an := gadget.NewAnalyzer(e.bin)
+		e.gadgets.total = len(gs)
+		for i := range gs {
+			if eff := an.NativeEffect(&gs[i]); eff.Viable() {
+				e.gadgets.viable = append(e.gadgets.viable, gs[i])
+				e.gadgets.effects = append(e.gadgets.effects, eff)
+			}
+		}
+	})
+	return e.bin, e.gadgets, nil
+}
+
+// unobfuscated counts the viable gadgets whose PSR-translated effect
+// matches their native one: the attack surface PSR leaves intact.
+func unobfuscated(bin *fatbin.Binary, seed int64, g gadgetSummary) (int, error) {
+	cfg := dbt.DefaultConfig()
+	cfg.MigrateProb = 0
+	cfg.Seed = seed
+	vm, err := dbt.New(bin, isa.X86, cfg)
+	if err != nil {
+		return 0, err
+	}
+	n := 0
+	for i := range g.viable {
+		if g.effects[i].SameOutcome(gadget.TranslatedEffect(vm, &g.viable[i])) {
+			n++
+		}
+	}
+	return n, nil
 }
 
 func (s *Suite) module(name string) *prog.Module {
@@ -146,19 +209,6 @@ func (s *Suite) sampleGadgets(gs []gadget.Gadget) []gadget.Gadget {
 		out = append(out, gs[i])
 	}
 	return out
-}
-
-// viableGadgets mines and evaluates the viable population of a binary.
-func viableGadgets(bin *fatbin.Binary, gs []gadget.Gadget) (viable []int, effects []gadget.Effect) {
-	an := gadget.NewAnalyzer(bin)
-	effects = make([]gadget.Effect, len(gs))
-	for i := range gs {
-		effects[i] = an.NativeEffect(&gs[i])
-		if effects[i].Viable() {
-			viable = append(viable, i)
-		}
-	}
-	return viable, effects
 }
 
 // header prints a section banner.

@@ -428,15 +428,15 @@ func (s *Suite) Fig14(ctx context.Context) ([]Fig14Curve, error) {
 	for i, name := range systems {
 		curves[i] = Fig14Curve{System: name, P: ps}
 	}
-	// One cell per (diversification probability, benchmark) pair — the
-	// paper's slowest sweep and the one that gains most from fan-out.
+	// One cell per benchmark: none of its three timing-model runs depends
+	// on the diversification probability, which the reduction below
+	// applies. The default (2 MB code cache) PSR run feeds both
+	// PSR+Isomeron and HIPStR-2MB.
 	type cell struct {
-		iso, combo, hip256, hip2m float64
+		native, hip2m, hip256 perf.Measurement
 	}
-	np := len(s.Profiles)
-	cells := make([]cell, len(ps)*np)
-	err := s.forEach(ctx, len(cells), func(ci int) error {
-		pv, p := ps[ci/np], s.Profiles[ci%np]
+	cells := make([]cell, len(s.Profiles))
+	err := s.forEachProfile(ctx, func(i int, p workload.Profile) error {
 		bin, err := s.bin(p)
 		if err != nil {
 			return err
@@ -445,59 +445,49 @@ func (s *Suite) Fig14(ctx context.Context) ([]Fig14Curve, error) {
 		if err != nil {
 			return err
 		}
-		var c cell
-		// Isomeron: modeled from the native run's call structure.
-		isoCfg := isomeron.DefaultConfig()
-		isoCfg.DiversifyProb = pv
-		c.iso = isoCfg.Apply(native).Relative
-		// PSR+Isomeron: PSR measured, Isomeron shepherding on top.
-		psrCfg := dbt.DefaultConfig()
-		psrCfg.Seed = p.Seed
-		psrCfg.MigrateProb = 0
-		psrRun, _, err := perf.MeasureVM(bin, isa.X86, psrCfg, warm, meas)
-		if err != nil {
-			return err
-		}
-		c.combo = isoCfg.CombineWithPSR(native, psrRun).Relative
-		// HIPStR: PSR plus probabilistic migration on steady-state
-		// security events. Warm caches make those events rare, so
-		// raising the diversification probability costs almost
-		// nothing — the paper's core performance argument. The
-		// event rate is measured over the steady-state window and
-		// each event charged the modeled migration cost.
-		for _, cacheKB := range []int{256, 2048} {
+		c := cell{native: native}
+		for _, cacheKB := range []int{2048, 256} {
 			cfg := dbt.DefaultConfig()
 			cfg.Seed = p.Seed
 			cfg.CodeCacheSize = uint32(cacheKB) * 1024
 			cfg.MigrateProb = 0 // measure events; migration modeled below
-			m, delta, _, err := perf.MeasureVMStats(bin, isa.X86, cfg, warm, meas)
+			m, _, err := perf.MeasureVM(bin, isa.X86, cfg, warm, meas)
 			if err != nil {
 				return err
 			}
-			coreCfg := perf.CoreFor(isa.X86)
-			migCycles := migrate.CostMicros(isa.ARM, 4, 120) * coreCfg.FreqGHz * 1e3
-			extra := pv * float64(delta.CodeCacheMisses) * migCycles
-			rel := native.Cycles / (m.Cycles + extra)
 			if cacheKB == 256 {
-				c.hip256 = rel
+				c.hip256 = m
 			} else {
-				c.hip2m = rel
+				c.hip2m = m
 			}
 		}
-		cells[ci] = c
+		cells[i] = c
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for pi := range ps {
+	// HIPStR: PSR plus probabilistic migration on steady-state security
+	// events. Warm caches make those events rare, so raising the
+	// diversification probability costs almost nothing — the paper's core
+	// performance argument. The event rate is measured over the
+	// steady-state window and each event charged the modeled migration
+	// cost.
+	migCycles := migrate.CostMicros(isa.ARM, 4, 120) * perf.CoreFor(isa.X86).FreqGHz * 1e3
+	hipstrRel := func(native, m perf.Measurement, pv float64) float64 {
+		return native.Cycles / (m.Cycles + pv*float64(m.CodeCacheMisses)*migCycles)
+	}
+	for _, pv := range ps {
 		var iso, combo, hip256, hip2m []float64
-		for bi := range s.Profiles {
-			c := cells[pi*np+bi]
-			iso = append(iso, c.iso)
-			combo = append(combo, c.combo)
-			hip256 = append(hip256, c.hip256)
-			hip2m = append(hip2m, c.hip2m)
+		for _, c := range cells {
+			// Isomeron: modeled from the native run's call structure.
+			isoCfg := isomeron.DefaultConfig()
+			isoCfg.DiversifyProb = pv
+			iso = append(iso, isoCfg.Apply(c.native).Relative)
+			// PSR+Isomeron: PSR measured, Isomeron shepherding on top.
+			combo = append(combo, isoCfg.CombineWithPSR(c.native, c.hip2m).Relative)
+			hip256 = append(hip256, hipstrRel(c.native, c.hip256, pv))
+			hip2m = append(hip2m, hipstrRel(c.native, c.hip2m, pv))
 		}
 		curves[0].Relative = append(curves[0].Relative, stats.Mean(iso))
 		curves[1].Relative = append(curves[1].Relative, stats.Mean(combo))

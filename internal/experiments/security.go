@@ -5,7 +5,6 @@ import (
 
 	"hipstr/internal/attack"
 	"hipstr/internal/dbt"
-	"hipstr/internal/gadget"
 	"hipstr/internal/isa"
 	"hipstr/internal/migrate"
 	"hipstr/internal/psr"
@@ -30,29 +29,16 @@ func (s *Suite) Fig3(ctx context.Context) ([]Fig3Row, error) {
 	s.header("Figure 3: Classic ROP attack surface (obfuscated vs unobfuscated)")
 	rows := make([]Fig3Row, len(s.Profiles))
 	err := s.forEachProfile(ctx, func(i int, p workload.Profile) error {
-		bin, err := s.bin(p)
+		bin, g, err := s.gadgets(p)
 		if err != nil {
 			return err
 		}
-		gs := s.sampleGadgets(gadget.Mine(bin, isa.X86, 0))
-		viable, effects := viableGadgets(bin, gs)
-		cfg := dbt.DefaultConfig()
-		cfg.MigrateProb = 0
-		cfg.Seed = p.Seed
-		vm, err := dbt.New(bin, isa.X86, cfg)
+		unobf, err := unobfuscated(bin, p.Seed, g)
 		if err != nil {
 			return err
 		}
-		row := Fig3Row{Benchmark: p.Name, Total: len(gs), Viable: len(viable)}
-		for _, vi := range viable {
-			te := gadget.TranslatedEffect(vm, &gs[vi])
-			if effects[vi].SameOutcome(te) {
-				row.Unobfuscated++
-			} else {
-				row.Obfuscated++
-			}
-		}
-		rows[i] = row
+		rows[i] = Fig3Row{Benchmark: p.Name, Total: g.total, Viable: len(g.viable),
+			Obfuscated: len(g.viable) - unobf, Unobfuscated: unobf}
 		return nil
 	})
 	if err != nil {
@@ -86,17 +72,15 @@ func (s *Suite) Fig4(ctx context.Context) ([]Fig4Row, error) {
 	s.header("Figure 4: Brute force attack surface (eliminated vs surviving)")
 	rows := make([]Fig4Row, len(s.Profiles))
 	err := s.forEachProfile(ctx, func(i int, p workload.Profile) error {
-		bin, err := s.bin(p)
+		_, g, err := s.gadgets(p)
 		if err != nil {
 			return err
 		}
-		gs := s.sampleGadgets(gadget.Mine(bin, isa.X86, 0))
-		viable, _ := viableGadgets(bin, gs)
 		rows[i] = Fig4Row{
 			Benchmark:  p.Name,
-			Total:      len(gs),
-			Surviving:  len(viable),
-			Eliminated: len(gs) - len(viable),
+			Total:      g.total,
+			Surviving:  len(g.viable),
+			Eliminated: g.total - len(g.viable),
 		}
 		return nil
 	})
@@ -269,17 +253,14 @@ func (s *Suite) Fig8(ctx context.Context) ([]Fig8Curve, error) {
 	// Per-benchmark immunity populations, aggregated over the suite.
 	results := make([]attack.TailoredResult, len(s.Profiles))
 	err := s.forEachProfile(ctx, func(i int, p workload.Profile) error {
-		bin, err := s.bin(p)
+		bin, g, err := s.gadgets(p)
 		if err != nil {
 			return err
 		}
 		// PSR-surviving population from the Fig 5 cache analysis stands
 		// in for the in-cache surface; use the viable count scaled by the
-		// measured unobfuscated rate when available. Here: recompute
-		// cheaply with the same sampling.
-		gs := s.sampleGadgets(gadget.Mine(bin, isa.X86, 0))
-		viable, _ := viableGadgets(bin, gs)
-		psrSurface := len(viable) / 20 // measured unobfuscated rate is a few percent
+		// measured unobfuscated rate when available.
+		psrSurface := len(g.viable) / 20 // measured unobfuscated rate is a few percent
 		if psrSurface < 1 {
 			psrSurface = 1
 		}
@@ -343,25 +324,13 @@ func (s *Suite) HTTPD(ctx context.Context) (HTTPDResult, error) {
 	// through the pool keeps cancellation and panic containment uniform.
 	err := s.forEach(ctx, 1, func(int) error {
 		p := workload.HTTPD()
-		bin, err := s.bin(p)
+		bin, g, err := s.gadgets(p)
 		if err != nil {
 			return err
 		}
-		gs := s.sampleGadgets(gadget.Mine(bin, isa.X86, 0))
-		viable, effects := viableGadgets(bin, gs)
-		cfg := dbt.DefaultConfig()
-		cfg.MigrateProb = 0
-		cfg.Seed = p.Seed
-		vm, err := dbt.New(bin, isa.X86, cfg)
+		unobf, err := unobfuscated(bin, p.Seed, g)
 		if err != nil {
 			return err
-		}
-		unobf := 0
-		for _, i := range viable {
-			te := gadget.TranslatedEffect(vm, &gs[i])
-			if effects[i].SameOutcome(te) {
-				unobf++
-			}
 		}
 		bf := attack.SimulateBruteForce(bin, psr.DefaultConfig(), p.Seed)
 		jit, err := attack.SimulateJITROP(bin, dbt.DefaultConfig(), 600_000)
@@ -369,8 +338,8 @@ func (s *Suite) HTTPD(ctx context.Context) (HTTPDResult, error) {
 			return err
 		}
 		res = HTTPDResult{
-			Gadgets:    len(gs),
-			Obfuscated: 1 - float64(unobf)/max(1, float64(len(viable))),
+			Gadgets:    g.total,
+			Obfuscated: 1 - float64(unobf)/max(1, float64(len(g.viable))),
 			BruteForce: bf.AttemptsNoBias,
 			JIT:        jit,
 		}

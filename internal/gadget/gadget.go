@@ -81,14 +81,6 @@ func Mine(bin *fatbin.Binary, k isa.Kind, maxInstrs int) []Gadget {
 	return mineARM(bin, maxInstrs)
 }
 
-// MineAll mines both ISAs.
-func MineAll(bin *fatbin.Binary, maxInstrs int) [2][]Gadget {
-	return [2][]Gadget{
-		isa.X86: Mine(bin, isa.X86, maxInstrs),
-		isa.ARM: Mine(bin, isa.ARM, maxInstrs),
-	}
-}
-
 // legitBoundaries decodes the official instruction stream and returns the
 // set of legitimate instruction-start addresses.
 func legitBoundaries(bin *fatbin.Binary, k isa.Kind) map[uint32]bool {

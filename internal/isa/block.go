@@ -1,5 +1,7 @@
 package isa
 
+import "fmt"
+
 // DecodeBlock decodes a straight-line run of instructions from code, which
 // holds the bytes at address addr, appending to dst and returning it. The
 // run ends at the first block terminator (see Inst.EndsBlock), after max
@@ -11,6 +13,9 @@ package isa
 // not a single instruction decodes, so callers always either get progress
 // or a diagnosable failure.
 func DecodeBlock(k Kind, code []byte, addr uint32, dst []Inst, max int) ([]Inst, error) {
+	if len(code) == 0 {
+		return dst, fmt.Errorf("%w: no code at %#x", ErrTruncated, addr)
+	}
 	off := 0
 	for len(dst) < max && off < len(code) {
 		in, err := Decode(k, code[off:], addr+uint32(off))

@@ -127,14 +127,3 @@ func StackReg(k Kind) Reg {
 	}
 	return SP
 }
-
-// AllocatableRegs returns the registers a compiler or the PSR randomizer
-// may assign program values to on ISA k. The stack pointer, and on ARM
-// the link register and program counter, are excluded; EBP is kept
-// allocatable because the common frame layout is ESP-relative.
-func AllocatableRegs(k Kind) []Reg {
-	if k == X86 {
-		return []Reg{EAX, ECX, EDX, EBX, EBP, ESI, EDI}
-	}
-	return []Reg{R0, R1, R2, R3, R4, R5, R6, R7, R8, R9, R10, R11, R12}
-}

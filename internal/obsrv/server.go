@@ -95,7 +95,6 @@ const DefaultSSEKeepalive = 15 * time.Second
 type Server struct {
 	srv    *http.Server
 	ln     net.Listener
-	hub    *EventHub
 	cancel context.CancelFunc
 }
 
@@ -350,7 +349,7 @@ func New(addr string, o Options) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("obsrv: listen %s: %w", addr, err)
 	}
-	h, hub := NewHandler(o)
+	h, _ := NewHandler(o)
 	// Request contexts derive from this base context so Shutdown can end
 	// otherwise-unbounded SSE streams.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -361,16 +360,12 @@ func New(addr string, o Options) (*Server, error) {
 			BaseContext:       func(net.Listener) context.Context { return ctx },
 		},
 		ln:     ln,
-		hub:    hub,
 		cancel: cancel,
 	}, nil
 }
 
 // Addr returns the bound listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Hub returns the SSE hub (nil when no tracer was configured).
-func (s *Server) Hub() *EventHub { return s.hub }
 
 // Serve blocks serving requests until Shutdown; it returns
 // http.ErrServerClosed after a graceful shutdown.

@@ -57,13 +57,6 @@ func (h *EventHub) Unsubscribe(s *Subscriber) {
 	h.mu.Unlock()
 }
 
-// Subscribers returns the number of attached subscribers.
-func (h *EventHub) Subscribers() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.subs)
-}
-
 // Subscriber is one SSE consumer's bounded event ring.
 type Subscriber struct {
 	mu      sync.Mutex
@@ -111,11 +104,4 @@ func (s *Subscriber) Drain() ([]telemetry.Record, uint64) {
 	d := s.dropped
 	s.dropped = 0
 	return out, d
-}
-
-// Dropped returns the events dropped since the last Drain.
-func (s *Subscriber) Dropped() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
 }

@@ -23,6 +23,9 @@ type Measurement struct {
 	CPI     float64
 	Seconds float64
 	Counts  Counts
+	// CodeCacheMisses is the window's indirect-transfer code-cache misses
+	// (security events) under a VM; 0 for native runs.
+	CodeCacheMisses uint64
 }
 
 const measureChunk = 500_000
@@ -37,11 +40,13 @@ func MeasureNative(bin *fatbin.Binary, k isa.Kind, warmWrites, measureWrites int
 	}
 	model := NewModel(CoreFor(k))
 	model.Attach(p.M)
-	return measure(p, model, warmWrites, measureWrites)
+	return measure(p, nil, model, warmWrites, measureWrites)
 }
 
 // MeasureVM runs bin under a PSR virtual machine on ISA k with the given
-// configuration and measures the same work window.
+// configuration and measures the same work window. The measurement's
+// CodeCacheMisses counts the window's steady-state security events only:
+// warmup misses (compulsory translation) are excluded.
 func MeasureVM(bin *fatbin.Binary, k isa.Kind, cfg dbt.Config, warmWrites, measureWrites int) (Measurement, *dbt.VM, error) {
 	vm, err := dbt.New(bin, k, cfg)
 	if err != nil {
@@ -51,63 +56,24 @@ func MeasureVM(bin *fatbin.Binary, k isa.Kind, cfg dbt.Config, warmWrites, measu
 	model.RATEnabled = true
 	model.BindTelemetry(vm.Telemetry())
 	model.Attach(vm.P.M)
-	m, err := measure(vm.P, model, warmWrites, measureWrites)
+	m, err := measure(vm.P, vm, model, warmWrites, measureWrites)
 	return m, vm, err
 }
 
-// MeasureVMWith measures an already-constructed VM (e.g. with a migration
-// engine installed).
-func MeasureVMWith(vm *dbt.VM, warmWrites, measureWrites int) (Measurement, error) {
-	model := NewModel(CoreFor(vm.Active()))
-	model.RATEnabled = true
-	model.BindTelemetry(vm.Telemetry())
-	model.Attach(vm.P.M)
-	return measure(vm.P, model, warmWrites, measureWrites)
-}
-
-// MeasureVMStats is MeasureVM plus the VM event-counter delta across the
-// measured window only (warmup events — compulsory translation — are
-// excluded), for steady-state security-event rates.
-func MeasureVMStats(bin *fatbin.Binary, k isa.Kind, cfg dbt.Config, warmWrites, measureWrites int) (Measurement, dbt.Stats, *dbt.VM, error) {
-	vm, err := dbt.New(bin, k, cfg)
-	if err != nil {
-		return Measurement{}, dbt.Stats{}, nil, err
-	}
-	model := NewModel(CoreFor(k))
-	model.RATEnabled = true
-	model.Attach(vm.P.M)
-	var atWarm dbt.Stats
-	orig := vm.P.M.Syscall
-	p := vm.P
-	vm.P.M.Syscall = func(m *machine.Machine, vec int32) error {
-		before := len(p.Trace)
-		if err := orig(m, vec); err != nil {
-			return err
-		}
-		if len(p.Trace) != before && len(p.Trace) == warmWrites {
-			atWarm = vm.Stats
-		}
-		return nil
-	}
-	meas, err := measure(p, model, warmWrites, measureWrites)
-	if err != nil {
-		return Measurement{}, dbt.Stats{}, vm, err
-	}
-	delta := vm.Stats
-	delta.CodeCacheMisses -= atWarm.CodeCacheMisses
-	delta.SecurityEvents -= atWarm.SecurityEvents
-	delta.ReturnMisses -= atWarm.ReturnMisses
-	delta.CompulsoryMisses -= atWarm.CompulsoryMisses
-	delta.Flushes -= atWarm.Flushes
-	return meas, delta, vm, nil
+// boundary is the measured state at one progress-write boundary.
+type boundary struct {
+	snap   Snapshot
+	counts Counts
+	misses uint64 // the VM's code-cache misses so far (0 for native runs)
+	ok     bool
 }
 
 // measure snapshots the model exactly at the progress-write boundaries by
 // interposing on the syscall handler, so overshooting a boundary inside a
-// run chunk cannot blur the window.
-func measure(p *proc.Process, model *Model, warmWrites, measureWrites int) (Measurement, error) {
-	snaps := make(map[int]Snapshot)
-	counts := make(map[int]Counts)
+// run chunk cannot blur the window. vm is nil for native runs.
+func measure(p *proc.Process, vm *dbt.VM, model *Model, warmWrites, measureWrites int) (Measurement, error) {
+	target := warmWrites + measureWrites
+	var start, end boundary
 	var phaseStart float64
 	orig := p.M.Syscall
 	p.M.Syscall = func(m *machine.Machine, vec int32) error {
@@ -115,9 +81,17 @@ func measure(p *proc.Process, model *Model, warmWrites, measureWrites int) (Meas
 		if err := orig(m, vec); err != nil {
 			return err
 		}
-		if len(p.Trace) != before {
-			snaps[len(p.Trace)] = model.Snap()
-			counts[len(p.Trace)] = model.Counts
+		if n := len(p.Trace); n != before {
+			b := boundary{snap: model.Snap(), counts: model.Counts, ok: true}
+			if vm != nil {
+				b.misses = vm.Stats.CodeCacheMisses
+			}
+			if n == warmWrites {
+				start = b
+			}
+			if n == target {
+				end = b
+			}
 			// Per-phase cycle accounting: each progress write closes one
 			// workload phase.
 			if model.tel != nil {
@@ -125,14 +99,13 @@ func measure(p *proc.Process, model *Model, warmWrites, measureWrites int) (Meas
 				model.histPhase.Observe(cyc)
 				model.tel.Emit(telemetry.Record{
 					Name: telemetry.EvPhase, ISA: model.Core.Name, DurCycles: cyc,
-					Detail: fmt.Sprintf("write %d", len(p.Trace)),
+					Detail: fmt.Sprintf("write %d", n),
 				})
 			}
 			phaseStart = model.Cycles
 		}
 		return nil
 	}
-	target := warmWrites + measureWrites
 	var total uint64
 	for len(p.Trace) < target {
 		if p.Exited {
@@ -147,19 +120,18 @@ func measure(p *proc.Process, model *Model, warmWrites, measureWrites int) (Meas
 			return Measurement{}, fmt.Errorf("perf: exceeded %d instructions waiting for %d writes", measureCap, target)
 		}
 	}
-	start, ok1 := snaps[warmWrites]
-	end, ok2 := snaps[target]
-	if !ok1 || !ok2 {
-		return Measurement{}, fmt.Errorf("perf: missing boundary snapshots (%v/%v)", ok1, ok2)
+	if !start.ok || !end.ok {
+		return Measurement{}, fmt.Errorf("perf: missing boundary snapshots (%v/%v)", start.ok, end.ok)
 	}
-	cyc := end.Cycles - start.Cycles
-	ins := end.Instrs - start.Instrs
+	cyc := end.snap.Cycles - start.snap.Cycles
+	ins := end.snap.Instrs - start.snap.Instrs
 	m := Measurement{
-		Core:    model.Core.Name,
-		Cycles:  cyc,
-		Instrs:  ins,
-		Seconds: cyc / (model.Core.FreqGHz * 1e9),
-		Counts:  diffCounts(counts[target], counts[warmWrites]),
+		Core:            model.Core.Name,
+		Cycles:          cyc,
+		Instrs:          ins,
+		Seconds:         cyc / (model.Core.FreqGHz * 1e9),
+		Counts:          diffCounts(end.counts, start.counts),
+		CodeCacheMisses: end.misses - start.misses,
 	}
 	if ins > 0 {
 		m.CPI = cyc / float64(ins)

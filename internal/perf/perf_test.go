@@ -120,3 +120,29 @@ func TestRATPenaltyScalesWithReturns(t *testing.T) {
 		t.Fatalf("512-entry RAT miss rate %.4f; paper expects ~0", missRate)
 	}
 }
+
+// TestMeasureVMWindowMisses checks a measurement's code-cache misses are
+// the measured window's alone: gobmk under a 16 KB cache misses both while
+// warming and in steady state, and only the latter counts. Native runs
+// report none.
+func TestMeasureVMWindowMisses(t *testing.T) {
+	bin := bench(t, "gobmk")
+	cfg := dbt.DefaultConfig()
+	cfg.MigrateProb = 0
+	cfg.CodeCacheSize = 16 << 10
+	m, vm, err := perf.MeasureVM(bin, isa.X86, cfg, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.CodeCacheMisses == 0 || m.CodeCacheMisses >= vm.Stats.CodeCacheMisses {
+		t.Fatalf("window misses %d, lifetime %d: want 0 < window < lifetime",
+			m.CodeCacheMisses, vm.Stats.CodeCacheMisses)
+	}
+	native, err := perf.MeasureNative(bin, isa.X86, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if native.CodeCacheMisses != 0 {
+		t.Fatalf("native run reports %d code-cache misses", native.CodeCacheMisses)
+	}
+}

@@ -149,12 +149,6 @@ type Map struct {
 	PruneBoundary bool
 }
 
-// ArgCalleeOff returns the callee-SP-relative offset of incoming argument i
-// under the randomized convention.
-func (m *Map) ArgCalleeOff(i int) int32 {
-	return int32(m.NewFrameSize) + m.ArgOff[i]
-}
-
 // LocOfReg returns the relocated location of architectural register r.
 func (m *Map) LocOfReg(r isa.Reg) Loc { return m.RegTo[r&0xF] }
 
