@@ -113,22 +113,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			prof.BindModel(model)
 			prof.Attach(p.M)
 		}
-		tel.Reg.RegisterCollector(func() {
-			bs := p.M.BlockStats()
-			tel.Reg.Counter("machine.blockcache.hits").Set(bs.Hits)
-			tel.Reg.Counter("machine.blockcache.misses").Set(bs.Misses)
-			tel.Reg.Counter("machine.blockcache.invalidations").Set(bs.Invalidations)
-			tel.Reg.Counter("machine.blockcache.invalidations.partial").Set(bs.PartialInvalidations)
-			tel.Reg.Counter("machine.blockcache.invalidations.full").Set(bs.FullInvalidations)
-			tel.Reg.Counter("machine.blockcache.evicted").Set(bs.BlocksEvicted)
-			tel.Reg.Gauge("machine.blockcache.blocks").Set(float64(bs.Blocks))
-			tel.Reg.Gauge("machine.blockcache.hit_ratio").Set(bs.HitRatio())
-			fs := p.M.FusionStats()
-			tel.Reg.Counter("machine.fusion.pairs").Set(fs.PairsFused)
-			tel.Reg.Counter("machine.fusion.blocks.batched").Set(fs.BatchedBlocks)
-			tel.Reg.Counter("machine.fusion.blocks.exact").Set(fs.ExactBlocks)
-			tel.Reg.Counter("machine.fusion.commits").Set(fs.Commits)
-		})
+		tel.Reg.RegisterCollector(func() { p.M.PublishStats(tel.Reg) })
 		runChunk = func(n uint64) (uint64, bool, error) {
 			ran, err := p.Run(n)
 			return ran, p.Exited, err

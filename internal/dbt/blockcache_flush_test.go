@@ -47,6 +47,7 @@ func TestFlushMidRunInvalidatesBlockCache(t *testing.T) {
 	for name, wantV := range map[string]uint64{
 		"machine.blockcache.hits":                  bs.Hits,
 		"machine.blockcache.misses":                bs.Misses,
+		"machine.blockcache.shared_hits":           bs.SharedHits,
 		"machine.blockcache.invalidations":         bs.Invalidations,
 		"machine.blockcache.invalidations.partial": bs.PartialInvalidations,
 		"machine.blockcache.invalidations.full":    bs.FullInvalidations,

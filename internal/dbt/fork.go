@@ -36,6 +36,11 @@ type VMSnapshot struct {
 	calls  [2]map[uint32]callMeta
 	gen    [2]int
 
+	// blocks is the decoded-block table every Fork and Respawn of this
+	// snapshot shares: siblings run the same bytes at the same addresses,
+	// so each block is decoded once per snapshot, not once per guest.
+	blocks *machine.SharedBlocks
+
 	layoutSeed int64
 	mapOrder   []int
 
@@ -78,6 +83,7 @@ func (vm *VM) Snapshot() *VMSnapshot {
 		exited:           vm.P.Exited,
 		exitCode:         vm.P.ExitCode,
 		execves:          append([]proc.ExecveEvent(nil), vm.P.Execves...),
+		blocks:           new(machine.SharedBlocks),
 	}
 	for _, k := range isa.Kinds {
 		s.caches[k] = vm.caches[k].Clone()
@@ -147,8 +153,9 @@ func (s *VMSnapshot) Respawn(k isa.Kind, newSeed int64, fc ForkConfig) (*VM, err
 }
 
 // newShell builds the common part of a forked VM: the CoW memory fork,
-// the adopted process, hooks, telemetry, and the PSR randomizer seeded
-// from cfg.Seed (rebuildMaps replays it forward for continuation forks).
+// the adopted process sharing the snapshot's decoded blocks, hooks,
+// telemetry, and the PSR randomizer seeded from cfg.Seed (rebuildMaps
+// replays it forward for continuation forks).
 func (s *VMSnapshot) newShell(cfg Config, fc ForkConfig) (*VM, *proc.Process) {
 	cfg.Telemetry = fc.Telemetry
 	cfg.TraceCap = fc.TraceCap
@@ -157,6 +164,7 @@ func (s *VMSnapshot) newShell(cfg Config, fc ForkConfig) (*VM, *proc.Process) {
 	}
 	ram := s.mem.Fork()
 	p := proc.Adopt(s.bin, machine.State{ISA: s.state.ISA}, ram)
+	p.M.ShareBlocks(s.blocks)
 	vm := &VM{
 		Bin:        s.bin,
 		P:          p,

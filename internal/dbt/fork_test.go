@@ -141,23 +141,92 @@ func TestSnapshotRespawnReRandomizes(t *testing.T) {
 	}
 }
 
-// TestEightForksSharedSnapshotRace: eight VMs forked from one snapshot run
-// concurrently (run with -race): shared CoW frames, the shared unit cache,
-// and the snapshot structures must all be safe, and every guest must
-// compute the same result.
-func TestEightForksSharedSnapshotRace(t *testing.T) {
-	bin, want := compile(t, "sumloop")
+// TestForksShareDecodedBlocks: forks of one snapshot share its decoded
+// block table, and sharing is invisible in everything a guest or a
+// dashboard sees. Two forks run one after the other must end exactly like
+// a cold boot that decoded everything itself — same state and the same
+// block-cache and fusion counters — except that the second fork served
+// its refills from the table instead of decoding.
+func TestForksShareDecodedBlocks(t *testing.T) {
+	bin, want := compile(t, "fib")
 	cfg := dbt.DefaultConfig()
-	cfg.MigrateProb = 0
-	cfg.SharedUnits = dbt.NewUnitCache(dbt.DefaultUnitCacheBytes)
+	cfg.Seed = 5
+	cfg.NoSharedUnits = true // compare two fully cold translation paths
+	cold, err := dbt.New(bin, isa.X86, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	proto, err := dbt.New(bin, isa.X86, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	snap := proto.Snapshot()
+	var forks []*dbt.VM
+	for i := 0; i < 2; i++ {
+		f, err := snap.Fork(dbt.ForkConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		forks = append(forks, f)
+	}
+	for _, vm := range append([]*dbt.VM{cold}, forks...) {
+		if _, err := vm.Run(maxSteps); err != nil {
+			t.Fatal(err)
+		}
+		if !vm.P.Exited || vm.P.ExitCode != want {
+			t.Fatalf("exit=%v code=%d want %d", vm.P.Exited, vm.P.ExitCode, want)
+		}
+	}
+	wantBS, wantFS := cold.P.M.BlockStats(), cold.P.M.FusionStats()
+	if wantBS.SharedHits != 0 {
+		t.Fatalf("cold boot reports %d shared hits", wantBS.SharedHits)
+	}
+	for i, f := range forks {
+		if f.P.M.State != cold.P.M.State {
+			t.Fatalf("fork %d state %+v, cold %+v", i, f.P.M.State, cold.P.M.State)
+		}
+		bs := f.P.M.BlockStats()
+		bs.SharedHits = 0
+		if bs != wantBS {
+			t.Fatalf("fork %d block stats %+v, cold %+v", i, bs, wantBS)
+		}
+		if fs := f.P.M.FusionStats(); fs != wantFS {
+			t.Fatalf("fork %d fusion stats %+v, cold %+v", i, fs, wantFS)
+		}
+	}
+	if h := forks[1].P.M.BlockStats().SharedHits; h == 0 {
+		t.Fatal("second fork decoded every block again; the snapshot's table went unused")
+	}
+}
+
+// TestEightForksSharedSnapshotRace: eight VMs forked from one snapshot run
+// concurrently (run with -race): shared CoW frames, the shared unit cache,
+// the shared decoded-block table and the snapshot structures must all be
+// safe, and every guest must end exactly as a fork run alone does.
+func TestEightForksSharedSnapshotRace(t *testing.T) {
+	bin, want := compile(t, "collatz")
+	cfg := dbt.DefaultConfig()
+	cfg.SharedUnits = dbt.NewUnitCache(dbt.DefaultUnitCacheBytes)
+	proto, err := dbt.New(bin, isa.X86, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The serial reference forks a snapshot of its own, so it neither
+	// warms nor reads the concurrent forks' table.
+	serial, err := proto.Snapshot().Fork(dbt.ForkConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := serial.Run(maxSteps); err != nil {
+		t.Fatal(err)
+	}
+	if serial.P.ExitCode != want {
+		t.Fatalf("serial fork exit %d want %d", serial.P.ExitCode, want)
+	}
+	snap := proto.Snapshot()
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
-	codes := make([]uint32, 8)
+	vms := make([]*dbt.VM, 8)
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -171,7 +240,7 @@ func TestEightForksSharedSnapshotRace(t *testing.T) {
 				errs <- err
 				return
 			}
-			codes[i] = vm.P.ExitCode
+			vms[i] = vm
 		}(i)
 	}
 	wg.Wait()
@@ -179,9 +248,17 @@ func TestEightForksSharedSnapshotRace(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	for i, c := range codes {
-		if c != want {
-			t.Fatalf("fork %d exit %d want %d", i, c, want)
+	for i, vm := range vms {
+		if vm.P.M.State != serial.P.M.State || vm.P.ExitCode != serial.P.ExitCode ||
+			!reflect.DeepEqual(vm.P.Trace, serial.P.Trace) {
+			t.Fatalf("fork %d ended in state %+v (exit %d), serial fork %+v (exit %d)",
+				i, vm.P.M.State, vm.P.ExitCode, serial.P.M.State, serial.P.ExitCode)
+		}
+		if got, want := vm.P.M.BlockStats().Misses, serial.P.M.BlockStats().Misses; got != want {
+			t.Fatalf("fork %d refilled %d blocks, serial fork %d", i, got, want)
+		}
+		if got, want := vm.P.M.FusionStats().PairsFused, serial.P.M.FusionStats().PairsFused; got != want {
+			t.Fatalf("fork %d fused %d pairs, serial fork %d", i, got, want)
 		}
 	}
 }

@@ -357,22 +357,7 @@ func (vm *VM) registerTelemetry() {
 			r.Gauge("dbt.rat." + ks + ".entries").Set(float64(rat.Entries()))
 			r.Gauge("dbt.rat." + ks + ".hit_ratio").Set(rat.HitRatio())
 		}
-		bs := vm.P.M.BlockStats()
-		r.Counter("machine.blockcache.hits").Set(bs.Hits)
-		r.Counter("machine.blockcache.misses").Set(bs.Misses)
-		// The legacy counter is the sum of the partial/full split, so
-		// snapshots taken before the split stay metricsdiff-comparable.
-		r.Counter("machine.blockcache.invalidations").Set(bs.Invalidations)
-		r.Counter("machine.blockcache.invalidations.partial").Set(bs.PartialInvalidations)
-		r.Counter("machine.blockcache.invalidations.full").Set(bs.FullInvalidations)
-		r.Counter("machine.blockcache.evicted").Set(bs.BlocksEvicted)
-		r.Gauge("machine.blockcache.blocks").Set(float64(bs.Blocks))
-		r.Gauge("machine.blockcache.hit_ratio").Set(bs.HitRatio())
-		fs := vm.P.M.FusionStats()
-		r.Counter("machine.fusion.pairs").Set(fs.PairsFused)
-		r.Counter("machine.fusion.blocks.batched").Set(fs.BatchedBlocks)
-		r.Counter("machine.fusion.blocks.exact").Set(fs.ExactBlocks)
-		r.Counter("machine.fusion.commits").Set(fs.Commits)
+		vm.P.M.PublishStats(r)
 		st := &vm.Stats
 		r.Counter("dbt.indirect_dispatch").Set(st.IndirectDispatch)
 		r.Counter("dbt.code_cache_misses").Set(st.CodeCacheMisses)

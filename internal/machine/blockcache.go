@@ -5,6 +5,7 @@ import (
 
 	"hipstr/internal/isa"
 	"hipstr/internal/mem"
+	"hipstr/internal/telemetry"
 )
 
 // BlockCap is the maximum number of instructions predecoded into one basic
@@ -19,16 +20,30 @@ const BlockCap = 64
 // from outgrowing the program it simulates.
 const maxCachedBlocks = 1 << 14
 
-// Block is a predecoded straight-line run of instructions. Insts[0].Addr is
-// the block's start PC; execution falls off the end when the terminator is
-// a not-taken branch or the block was split at BlockCap.
-type Block struct {
+// blockBody is the decoded part of a Block. The arrays it points to are
+// never written once built (recycle only reclaims private ones), so
+// machines of sibling forks can execute one published body concurrently.
+type blockBody struct {
 	Insts []isa.Inst
 
 	// Fused is the superinstruction lowering of Insts (see isa.FuseBlock):
 	// the batched dispatch path executes these entries, falling back to
 	// Insts for hooks, fault reporting, and timing commits.
 	Fused []isa.FusedInst
+}
+
+// pairs returns how many instruction pairs FuseBlock collapsed: every
+// fused entry retires one instruction or two.
+func (d *blockBody) pairs() int { return len(d.Insts) - len(d.Fused) }
+
+// Block is one block cache's handle on a predecoded straight-line run of
+// instructions. Insts[0].Addr is the block's start PC; execution falls off
+// the end when the terminator is a not-taken branch or the block was split
+// at BlockCap. The body's arrays may be shared with sibling machines
+// through a SharedBlocks table; everything else here is private to one
+// cache.
+type Block struct {
+	blockBody
 
 	// [lo, hi) is the byte span the block decoded from (at most BlockCap ×
 	// MaxInstLen ≤ PageSize bytes, so at most two pages). The cache's
@@ -42,9 +57,14 @@ type Block struct {
 	// and linkEpoch equals the cache's current eviction epoch — any
 	// eviction bumps the epoch, which invalidates every link at once
 	// without walking blocks.
-	next      *Block
-	nextPC    uint32
-	nextISA   isa.Kind
+	next    *Block
+	nextPC  uint32
+	nextISA isa.Kind
+
+	// shared marks a body owned by a SharedBlocks table: its arrays are
+	// never recycled into this cache's refills.
+	shared bool
+
 	linkEpoch uint64
 }
 
@@ -59,7 +79,10 @@ func (b *Block) overlaps(addr, size uint32) bool {
 // BlockCacheStats is a snapshot of the interpreter block cache counters.
 type BlockCacheStats struct {
 	Hits   uint64 // block dispatches served from cache
-	Misses uint64 // block refills (fetch + decode)
+	Misses uint64 // block refills (fetch + decode, or fetch + shared body)
+	// SharedHits counts the refills served from the snapshot's
+	// SharedBlocks table without decoding. They are included in Misses.
+	SharedHits uint64
 	// Invalidations is the legacy invalidation counter: every event that
 	// evicted at least one block. It equals PartialInvalidations +
 	// FullInvalidations, so dashboards and metricsdiff snapshots recorded
@@ -122,7 +145,11 @@ type blockCache struct {
 	free      [][]isa.Inst
 	freeFused [][]isa.FusedInst
 
-	hits, misses              uint64
+	// shared, when set, is the table of decoded bodies this machine
+	// shares with its fork siblings (see SharedBlocks).
+	shared *SharedBlocks
+
+	hits, misses, sharedHits  uint64
 	partialInvals, fullInvals uint64
 	evicted                   uint64
 
@@ -140,8 +167,12 @@ type blockCache struct {
 // maxFreeInsts bounds the recycled-storage pool.
 const maxFreeInsts = 512
 
-// recycle returns an evicted block's instruction storage to the pool.
+// recycle returns an evicted private block's instruction storage to the
+// pool. Shared bodies belong to their table and are left alone.
 func (bc *blockCache) recycle(b *Block) {
+	if b.shared {
+		return
+	}
 	if b.Insts != nil && len(bc.free) < maxFreeInsts {
 		bc.free = append(bc.free, b.Insts[:0])
 		b.Insts = nil
@@ -178,6 +209,7 @@ func (m *Machine) BlockStats() BlockCacheStats {
 	return BlockCacheStats{
 		Hits:                 bc.hits,
 		Misses:               bc.misses,
+		SharedHits:           bc.sharedHits,
 		Invalidations:        bc.partialInvals + bc.fullInvals,
 		PartialInvalidations: bc.partialInvals,
 		FullInvalidations:    bc.fullInvals,
@@ -400,6 +432,12 @@ func (bc *blockCache) lookup(k isa.Kind, pc uint32) *Block {
 // are coherent with bc.gen. Fetch and decode failures are wrapped exactly
 // as the per-step slow path wraps them, so callers see identical errors
 // whether or not the cache is in play.
+//
+// With a SharedBlocks table attached, the fetch still runs first (faults
+// and permissions are this machine's own), then a published body whose
+// bytes prefix the fetch window replaces the decode; a fresh decode that
+// ended naturally is offered to the table. Counters advance exactly as
+// for a decode either way.
 func (bc *blockCache) refill(m *Machine) (*Block, error) {
 	if bc.win == nil {
 		bc.win = make([]byte, BlockCap*MaxInstLen)
@@ -408,30 +446,23 @@ func (bc *blockCache) refill(m *Machine) (*Block, error) {
 	if err != nil {
 		return nil, fmt.Errorf("machine: fetch at %#x: %w", m.PC, err)
 	}
-	var dst []isa.Inst
-	if l := len(bc.free); l > 0 {
-		dst = bc.free[l-1]
-		bc.free = bc.free[:l-1]
+	win := bc.win[:n]
+	var b *Block
+	if bc.shared != nil {
+		if sb := bc.shared.lookup(m.ISA, m.PC, win); sb != nil {
+			bc.sharedHits++
+			b = &Block{blockBody: sb.blockBody, shared: true}
+		}
 	}
-	insts, err := isa.DecodeBlock(m.ISA, bc.win[:n], m.PC, dst, BlockCap)
-	if err != nil {
-		return nil, fmt.Errorf("machine: decode at %#x: %w", m.PC, err)
+	if b == nil {
+		if b, err = bc.decode(m, win); err != nil {
+			return nil, err
+		}
 	}
 	bc.misses++
-	var fdst []isa.FusedInst
-	if l := len(bc.freeFused); l > 0 {
-		fdst = bc.freeFused[l-1]
-		bc.freeFused = bc.freeFused[:l-1]
-	}
-	fused, pairs := isa.FuseBlock(insts, fdst)
-	bc.pairsFused += uint64(pairs)
-	last := &insts[len(insts)-1]
-	b := &Block{
-		Insts: insts,
-		Fused: fused,
-		lo:    m.PC,
-		hi:    last.Addr + uint32(last.Size),
-	}
+	bc.pairsFused += uint64(b.pairs())
+	last := &b.Insts[len(b.Insts)-1]
+	b.lo, b.hi = m.PC, last.Addr+uint32(last.Size)
 	tab := bc.blocks[m.ISA]
 	if tab == nil || len(tab) >= maxCachedBlocks {
 		if len(tab) >= maxCachedBlocks {
@@ -456,4 +487,53 @@ func (bc *blockCache) refill(m *Machine) (*Block, error) {
 		pi.refs = append(pi.refs, ref)
 	}
 	return b, nil
+}
+
+// decode decodes and fuses the block at the head of win, reusing recycled
+// storage, and publishes the body when a table is attached and accepts it.
+func (bc *blockCache) decode(m *Machine, win []byte) (*Block, error) {
+	var dst []isa.Inst
+	if l := len(bc.free); l > 0 {
+		dst = bc.free[l-1]
+		bc.free = bc.free[:l-1]
+	}
+	insts, err := isa.DecodeBlock(m.ISA, win, m.PC, dst, BlockCap)
+	if err != nil {
+		return nil, fmt.Errorf("machine: decode at %#x: %w", m.PC, err)
+	}
+	var fdst []isa.FusedInst
+	if l := len(bc.freeFused); l > 0 {
+		fdst = bc.freeFused[l-1]
+		bc.freeFused = bc.freeFused[:l-1]
+	}
+	fused, _ := isa.FuseBlock(insts, fdst)
+	if bc.shared != nil {
+		if sb := bc.shared.publish(m.ISA, m.PC, insts, fused, win); sb != nil {
+			return &Block{blockBody: sb.blockBody, shared: true}, nil
+		}
+	}
+	return &Block{blockBody: blockBody{Insts: insts, Fused: fused}}, nil
+}
+
+// PublishStats mirrors the block-cache and fusion counters into r under
+// the machine.blockcache.* and machine.fusion.* names. Hosts call it from
+// a registry collector, so the dispatch loop itself never touches r.
+func (m *Machine) PublishStats(r *telemetry.Registry) {
+	bs := m.BlockStats()
+	r.Counter("machine.blockcache.hits").Set(bs.Hits)
+	r.Counter("machine.blockcache.misses").Set(bs.Misses)
+	r.Counter("machine.blockcache.shared_hits").Set(bs.SharedHits)
+	// The legacy counter is the sum of the partial/full split, so
+	// snapshots taken before the split stay metricsdiff-comparable.
+	r.Counter("machine.blockcache.invalidations").Set(bs.Invalidations)
+	r.Counter("machine.blockcache.invalidations.partial").Set(bs.PartialInvalidations)
+	r.Counter("machine.blockcache.invalidations.full").Set(bs.FullInvalidations)
+	r.Counter("machine.blockcache.evicted").Set(bs.BlocksEvicted)
+	r.Gauge("machine.blockcache.blocks").Set(float64(bs.Blocks))
+	r.Gauge("machine.blockcache.hit_ratio").Set(bs.HitRatio())
+	fs := m.FusionStats()
+	r.Counter("machine.fusion.pairs").Set(fs.PairsFused)
+	r.Counter("machine.fusion.blocks.batched").Set(fs.BatchedBlocks)
+	r.Counter("machine.fusion.blocks.exact").Set(fs.ExactBlocks)
+	r.Counter("machine.fusion.commits").Set(fs.Commits)
 }
