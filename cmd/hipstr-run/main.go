@@ -149,11 +149,10 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		m.Trace = tel.Trace
 		if prof != nil {
 			// Execution happens in the code caches; resolve cache PCs back
-			// to guest source addresses, and tap the tracer so translation
-			// and migration costs show up as phases.
-			// The class resolver additionally splits cycles sampled in trap
-			// stubs out of "interpret" into "vm-dispatch".
-			prof.SetClassResolver(s.VM.ResolvePCClass)
+			// to guest source addresses (cycles sampled in trap stubs go
+			// to "vm-dispatch" rather than "interpret"), and tap the tracer
+			// so translation and migration costs show up as phases.
+			prof.SetResolver(s.VM.ResolvePC)
 			prof.AttachTracer(tel)
 			prof.Attach(s.VM.P.M)
 		}

@@ -98,7 +98,7 @@ func testServer(t *testing.T) *httptest.Server {
 				Fields: map[string]float64{"steps": 80000, "respawns": 0, "latency_us": 900}},
 		}},
 	}
-	h, _ := obsrv.NewHandler(opts)
+	h := obsrv.NewHandler(opts)
 	return httptest.NewServer(h)
 }
 
@@ -167,7 +167,7 @@ func TestFrameAndRender(t *testing.T) {
 func TestFrameAgainstBareVM(t *testing.T) {
 	tel := telemetry.New()
 	tel.Counter("dbt.translations.x86").Add(5)
-	h, _ := obsrv.NewHandler(obsrv.Options{
+	h := obsrv.NewHandler(obsrv.Options{
 		Snapshot: func() (telemetry.Snapshot, bool) { return tel.Snapshot(), true },
 	})
 	ts := httptest.NewServer(h)

@@ -1,31 +1,24 @@
-// Command metricsdiff loads two metrics artifacts and prints their
+// Command metricsdiff loads two metrics snapshots and prints their
 // counters, gauges, and histogram quantiles side by side, with deltas.
 // Typical use: compare the same workload under two configurations, or two
 // revisions of the VM.
 //
-// Each input may be:
+// Each input is a metrics snapshot as hipstr-run and hipstr-bench write
+// it with -metrics-out. A hipstr-bench snapshot already carries every
+// experiment's rows as experiments.<name>.<label>.<field> gauges and its
+// runtime as bench.seconds.<name>, flattened by the experiment engine
+// itself, so evaluation runs diff through the same file:
 //
-//   - a metrics snapshot (hipstr-run/hipstr-bench -metrics-out),
+//	hipstr-run -workload mcf -metrics-out a.json
+//	hipstr-run -workload mcf -rat 64 -metrics-out b.json
+//	metricsdiff a.json b.json
 //
-//   - one experiment result artifact (hipstr-bench -results-out), whose
-//     rows are flattened into experiments.<name>.<label>.<field> gauges —
-//     the same series names the live registry publishes,
+//	hipstr-bench -quick -metrics-out before.json
+//	hipstr-bench -quick -metrics-out after.json   # on the new revision
+//	metricsdiff before.json after.json
 //
-//   - or a -results-out directory, merging every *.json artifact in it.
-//
-//     hipstr-run -workload mcf -metrics-out a.json
-//     hipstr-run -workload mcf -rat 64 -metrics-out b.json
-//     metricsdiff a.json b.json
-//
-//     hipstr-bench -quick -results-out before/
-//     hipstr-bench -quick -results-out after/   # on the new revision
-//     metricsdiff before/ after/
-//
-// Result rows reach the artifact as JSON objects, which do not preserve
-// struct field order, so the per-row label is the first string-valued key
-// in sorted key order. Artifact-vs-artifact diffs therefore always align;
-// an artifact diffed against a live -metrics-out snapshot can disagree on
-// label choice for rows with several string columns.
+// Experiment result artifacts (-results-out) are not metrics snapshots
+// and are rejected with a pointer to -metrics-out.
 package main
 
 import (
@@ -34,182 +27,37 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 
 	"hipstr"
 )
 
+// load reads a metrics snapshot, rejecting anything else (a -results-out
+// artifact or directory included) with an error naming -metrics-out.
 func load(path string) (hipstr.MetricsSnapshot, error) {
+	var s hipstr.MetricsSnapshot
 	fi, err := os.Stat(path)
 	if err != nil {
-		return hipstr.MetricsSnapshot{}, err
+		return s, err
 	}
 	if fi.IsDir() {
-		return loadResultsDir(path)
+		return s, fmt.Errorf("%s: a directory, not a metrics snapshot (write one with hipstr-bench -metrics-out)", path)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return hipstr.MetricsSnapshot{}, err
+		return s, err
 	}
-	return parseArtifact(path, data)
-}
-
-// parseArtifact sniffs the JSON shape: a metrics snapshot carries a
-// "counters" object, a result artifact "name" + "rows".
-func parseArtifact(path string, data []byte) (hipstr.MetricsSnapshot, error) {
 	var probe map[string]json.RawMessage
 	if err := json.Unmarshal(data, &probe); err != nil {
-		return hipstr.MetricsSnapshot{}, fmt.Errorf("%s: %w", path, err)
+		return s, fmt.Errorf("%s: %w", path, err)
 	}
-	if _, ok := probe["counters"]; ok {
-		var s hipstr.MetricsSnapshot
-		if err := json.Unmarshal(data, &s); err != nil {
-			return s, fmt.Errorf("%s: %w", path, err)
-		}
-		return s, nil
+	if _, ok := probe["counters"]; !ok {
+		return s, fmt.Errorf("%s: not a metrics snapshot (write one with -metrics-out; -results-out artifacts are not read)", path)
 	}
-	if _, hasName := probe["name"]; hasName {
-		if _, hasRows := probe["rows"]; hasRows {
-			var res resultArtifact
-			if err := json.Unmarshal(data, &res); err != nil {
-				return hipstr.MetricsSnapshot{}, fmt.Errorf("%s: %w", path, err)
-			}
-			s := emptySnapshot()
-			res.addTo(&s)
-			return s, nil
-		}
-	}
-	return hipstr.MetricsSnapshot{}, fmt.Errorf(
-		"%s: neither a metrics snapshot (-metrics-out) nor an experiment result artifact (-results-out)", path)
-}
-
-// loadResultsDir merges every *.json result artifact in dir into one
-// synthetic snapshot.
-func loadResultsDir(dir string) (hipstr.MetricsSnapshot, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil {
-		return hipstr.MetricsSnapshot{}, err
-	}
-	if len(paths) == 0 {
-		return hipstr.MetricsSnapshot{}, fmt.Errorf("%s: no *.json result artifacts", dir)
-	}
-	sort.Strings(paths)
-	s := emptySnapshot()
-	for _, p := range paths {
-		data, err := os.ReadFile(p)
-		if err != nil {
-			return s, err
-		}
-		var res resultArtifact
-		if err := json.Unmarshal(data, &res); err != nil {
-			return s, fmt.Errorf("%s: %w", p, err)
-		}
-		if res.Name == "" {
-			return s, fmt.Errorf("%s: not an experiment result artifact (no name)", p)
-		}
-		res.addTo(&s)
+	if err := json.Unmarshal(data, &s); err != nil {
+		return s, fmt.Errorf("%s: %w", path, err)
 	}
 	return s, nil
-}
-
-func emptySnapshot() hipstr.MetricsSnapshot {
-	return hipstr.MetricsSnapshot{
-		Counters: map[string]uint64{},
-		Gauges:   map[string]float64{},
-	}
-}
-
-// resultArtifact is the hipstr-bench -results-out schema (the experiment
-// engine's Result struct).
-type resultArtifact struct {
-	Name    string  `json:"name"`
-	Seconds float64 `json:"seconds"`
-	Rows    any     `json:"rows"`
-}
-
-// addTo flattens the artifact's rows into the gauges the live registry
-// publishes for the same experiment: experiments.<name>.<label>.<field>,
-// plus the bench.seconds.<name> runtime gauge.
-func (r resultArtifact) addTo(s *hipstr.MetricsSnapshot) {
-	s.Gauges["bench.seconds."+r.Name] = r.Seconds
-	prefix := "experiments." + r.Name
-	rows, ok := r.Rows.([]any)
-	if !ok {
-		rows = []any{r.Rows}
-	}
-	for _, row := range rows {
-		m, ok := row.(map[string]any)
-		if !ok {
-			continue
-		}
-		label, fields := flattenRow(m)
-		base := prefix
-		if label != "" {
-			base += "." + sanitizeLabel(label)
-		}
-		for f, v := range fields {
-			s.Gauges[base+"."+f] = v
-		}
-	}
-}
-
-// flattenRow mirrors the experiment engine's row flattening over decoded
-// JSON: the first string-valued key (sorted order) labels the point and
-// every numeric value — scalar, array element, or nested object field —
-// becomes a field under its lowercased, dot-joined path.
-func flattenRow(m map[string]any) (string, map[string]float64) {
-	var label string
-	fields := map[string]float64{}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		name := sanitizeLabel(strings.ToLower(k))
-		switch v := m[k].(type) {
-		case string:
-			if label == "" {
-				label = v
-			}
-		case bool:
-			if v {
-				fields[name] = 1
-			} else {
-				fields[name] = 0
-			}
-		case float64:
-			fields[name] = v
-		case []any:
-			for i, e := range v {
-				if f, ok := e.(float64); ok {
-					fields[fmt.Sprintf("%s.%d", name, i)] = f
-				}
-			}
-		case map[string]any:
-			// Nested rows (structs or float-valued maps): their fields
-			// arrive already lowercased and sanitized.
-			_, nested := flattenRow(v)
-			for fn, fv := range nested {
-				fields[name+"."+fn] = fv
-			}
-		}
-	}
-	return label, fields
-}
-
-// sanitizeLabel matches the engine's metric-name cleaning: spaces, '+',
-// '.', and '/' become '-'.
-func sanitizeLabel(s string) string {
-	return strings.Map(func(r rune) rune {
-		switch r {
-		case ' ', '+', '.', '/':
-			return '-'
-		}
-		return r
-	}, s)
 }
 
 // keys returns the sorted union of both maps' keys.

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -30,64 +31,6 @@ func TestLoadSnapshot(t *testing.T) {
 	}
 }
 
-// TestLoadResultArtifact checks -results-out artifacts convert into the
-// same experiments.<name>.<label>.<field> gauges the live registry
-// publishes, including bools, arrays, nested objects, and sanitized
-// labels.
-func TestLoadResultArtifact(t *testing.T) {
-	path := writeFile(t, t.TempDir(), "fig9.json", `{
-		"name": "fig9", "description": "overhead", "quick": true,
-		"parallel": 2, "seconds": 1.25,
-		"rows": [
-			{"Bench": "libquantum", "O3": 0.9, "Safe": true},
-			{"Bench": "gcc+ref", "O3": 0.8, "Safe": false,
-			 "PerISA": {"x86": 1.0, "arm": 2.0}, "Series": [5, 6]}
-		]
-	}`)
-	s, err := load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]float64{
-		"bench.seconds.fig9":                  1.25,
-		"experiments.fig9.libquantum.o3":      0.9,
-		"experiments.fig9.libquantum.safe":    1,
-		"experiments.fig9.gcc-ref.o3":         0.8,
-		"experiments.fig9.gcc-ref.safe":       0,
-		"experiments.fig9.gcc-ref.perisa.x86": 1.0,
-		"experiments.fig9.gcc-ref.perisa.arm": 2.0,
-		"experiments.fig9.gcc-ref.series.0":   5,
-		"experiments.fig9.gcc-ref.series.1":   6,
-	}
-	for name, v := range want {
-		if got := s.Gauges[name]; got != v {
-			t.Errorf("%s = %v, want %v", name, got, v)
-		}
-	}
-	if len(s.Gauges) != len(want) {
-		t.Errorf("extra gauges: %v", s.Gauges)
-	}
-}
-
-func TestLoadResultsDir(t *testing.T) {
-	dir := t.TempDir()
-	writeFile(t, dir, "fig9.json", `{"name":"fig9","seconds":1,"rows":[{"Bench":"mcf","O3":0.7}]}`)
-	writeFile(t, dir, "tab2.json", `{"name":"tab2","seconds":2,"rows":{"Technique":"psr","Probes":128}}`)
-	s, err := load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Gauges["experiments.fig9.mcf.o3"] != 0.7 {
-		t.Errorf("fig9 series missing: %v", s.Gauges)
-	}
-	if s.Gauges["experiments.tab2.psr.probes"] != 128 {
-		t.Errorf("single-row artifact not flattened: %v", s.Gauges)
-	}
-	if s.Gauges["bench.seconds.tab2"] != 2 {
-		t.Errorf("runtime gauge missing: %v", s.Gauges)
-	}
-}
-
 func TestLoadRejectsUnknownShape(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := load(writeFile(t, dir, "x.json", `{"foo": 1}`)); err == nil {
@@ -96,8 +39,14 @@ func TestLoadRejectsUnknownShape(t *testing.T) {
 	if _, err := load(writeFile(t, dir, "y.json", `not json`)); err == nil {
 		t.Error("non-JSON must be rejected")
 	}
-	empty := t.TempDir()
-	if _, err := load(empty); err == nil {
-		t.Error("empty directory must be rejected")
+	// A -results-out artifact, and a -results-out directory, are pointed
+	// at -metrics-out, which carries the same experiments.* gauges.
+	res := writeFile(t, dir, "fig9.json",
+		`{"name":"fig9","seconds":1,"rows":[{"Bench":"mcf","O3":0.7}]}`)
+	if _, err := load(res); err == nil || !strings.Contains(err.Error(), "-metrics-out") {
+		t.Errorf("result artifact: err = %v, want one naming -metrics-out", err)
+	}
+	if _, err := load(dir); err == nil || !strings.Contains(err.Error(), "-metrics-out") {
+		t.Errorf("directory: err = %v, want one naming -metrics-out", err)
 	}
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,10 +15,9 @@ import (
 
 // summarizeIncidents reads a -incident-dir of flight-recorder bundles and
 // prints one row per incident: rule, state, duration, peak measure, and
-// the top offender tenants. The per-incident incident-*.json artifacts
-// are preferred (each is the final rewrite, carrying the resolution);
-// when only the append-only incidents.jsonl exists, the last record per
-// incident ID wins for the same reason.
+// the top offender tenants. Each incident-*.json bundle is the
+// recorder's last rewrite of that incident, so a resolved incident's
+// bundle carries its resolution.
 func summarizeIncidents(dir string, w io.Writer) error {
 	incs, src, err := loadIncidents(dir)
 	if err != nil {
@@ -56,61 +54,28 @@ func summarizeIncidents(dir string, w io.Writer) error {
 	return nil
 }
 
-// loadIncidents reads the bundles, reporting which artifact form it used.
+// loadIncidents reads the bundles, reporting how many files it read.
 func loadIncidents(dir string) ([]health.Incident, string, error) {
 	files, err := filepath.Glob(filepath.Join(dir, "incident-*.json"))
 	if err != nil {
 		return nil, "", err
 	}
-	if len(files) > 0 {
-		var incs []health.Incident
-		for _, f := range files {
-			buf, err := os.ReadFile(f)
-			if err != nil {
-				return nil, "", err
-			}
-			var inc health.Incident
-			if err := json.Unmarshal(buf, &inc); err != nil {
-				return nil, "", fmt.Errorf("%s: %w", f, err)
-			}
-			incs = append(incs, inc)
-		}
-		return incs, fmt.Sprintf("%d bundle files", len(files)), nil
+	if len(files) == 0 {
+		return nil, "", fmt.Errorf("%s: no incident-*.json bundles", dir)
 	}
-
-	// Fallback: the append-only log. Later records for the same ID
-	// supersede earlier ones (the resolve record follows the open record).
-	f, err := os.Open(filepath.Join(dir, "incidents.jsonl"))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, "", fmt.Errorf("%s: no incident-*.json bundles or incidents.jsonl", dir)
-		}
-		return nil, "", err
-	}
-	defer f.Close()
-	byID := map[int]health.Incident{}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 4<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
+	var incs []health.Incident
+	for _, f := range files {
+		buf, err := os.ReadFile(f)
+		if err != nil {
+			return nil, "", err
 		}
 		var inc health.Incident
-		if err := json.Unmarshal(sc.Bytes(), &inc); err != nil {
-			return nil, "", fmt.Errorf("incidents.jsonl:%d: %w", line, err)
+		if err := json.Unmarshal(buf, &inc); err != nil {
+			return nil, "", fmt.Errorf("%s: %w", f, err)
 		}
-		byID[inc.ID] = inc
-	}
-	if err := sc.Err(); err != nil {
-		return nil, "", err
-	}
-	incs := make([]health.Incident, 0, len(byID))
-	for _, inc := range byID {
 		incs = append(incs, inc)
 	}
-	return incs, "incidents.jsonl", nil
+	return incs, fmt.Sprintf("%d bundle files", len(files)), nil
 }
 
 func offenderLine(offs []health.Offender) string {

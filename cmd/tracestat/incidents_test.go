@@ -62,36 +62,6 @@ func TestSummarizeIncidentBundles(t *testing.T) {
 	}
 }
 
-// TestSummarizeFromJSONL: without per-incident bundles the append-only
-// log is used, and the last record per ID (the resolve rewrite) wins.
-func TestSummarizeFromJSONL(t *testing.T) {
-	dir := t.TempDir()
-	f, err := os.Create(filepath.Join(dir, "incidents.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, inc := range []health.Incident{
-		bundle(1, "respawn-storm", 1e9, 0, 60, "t1"),   // open record
-		bundle(1, "respawn-storm", 1e9, 5e9, 90, "t1"), // resolve record supersedes
-	} {
-		line, _ := json.Marshal(inc)
-		f.Write(append(line, '\n'))
-	}
-	f.Close()
-
-	var b strings.Builder
-	if err := summarizeIncidents(dir, &b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "1 incidents") || !strings.Contains(out, "incidents.jsonl") {
-		t.Fatalf("jsonl source line:\n%s", out)
-	}
-	if !strings.Contains(out, "resolved") || !strings.Contains(out, "90.0") || !strings.Contains(out, "4s") {
-		t.Fatalf("resolve record did not win:\n%s", out)
-	}
-}
-
 func TestSummarizeEmptyDir(t *testing.T) {
 	var b strings.Builder
 	if err := summarizeIncidents(t.TempDir(), &b); err == nil ||

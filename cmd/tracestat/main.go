@@ -23,8 +23,10 @@
 // ui.perfetto.dev.
 //
 // With -incidents, tracestat instead summarizes a health-engine
-// -incident-dir of flight-recorder bundles: one row per incident with
-// its rule, state, duration, peak measure, and top offender tenants.
+// -incident-dir: it reads the incident-*.json flight-recorder bundles and
+// prints one row per incident with its rule, state, duration, peak
+// measure, and top offender tenants. Traces are read through
+// telemetry.ReadJSONL, the loader the trace schema ships with.
 //
 // Usage:
 //

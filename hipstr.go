@@ -214,8 +214,10 @@ type ProfileReport = profiler.Report
 
 // NewProfiler returns a profiler symbolizing against bin, sampling every
 // interval guest instructions (0 selects the default period). Wire it
-// with Attach (machine hook), BindModel (timing-model cycles), and
-// SetResolver (code-cache PC mapping, e.g. dbt.VM.ResolvePC).
+// with Attach (the machine hook, System.VM.P.M under protection),
+// BindModel (timing-model cycles), SetResolver (System.VM.ResolvePC:
+// code-cache PCs back to guest source, trap-stub samples charged to VM
+// dispatch), and AttachTracer (translation and migration costs).
 func NewProfiler(bin *Binary, interval uint64) *Profiler { return profiler.New(bin, interval) }
 
 // Fleet is a multi-tenant host: it admits guest VMs forked from

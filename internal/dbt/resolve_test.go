@@ -9,8 +9,9 @@ import (
 
 // TestResolvePC checks the execution-PC → guest-source mapping the
 // sampling profiler depends on: cache PCs anywhere inside a translation
-// unit resolve to a source address that symbolizes, guest text PCs resolve
-// to themselves, and everything else reports failure.
+// unit resolve to a source address that symbolizes, unit entries and
+// guest text PCs are not trap stubs, guest text PCs resolve to themselves,
+// and everything else reports failure.
 func TestResolvePC(t *testing.T) {
 	bin, _ := compile(t, "nested")
 	cfg := dbt.DefaultConfig()
@@ -29,7 +30,7 @@ func TestResolvePC(t *testing.T) {
 		}
 		// Probe the unit entry and an interior PC: both must map back.
 		for _, pc := range []uint32{cacheAddr, cacheAddr + 2} {
-			got, ok := vm.ResolvePC(isa.X86, pc)
+			got, _, ok := vm.ResolvePC(isa.X86, pc)
 			if !ok {
 				t.Fatalf("ResolvePC(%#x) failed for unit of %#x", pc, src)
 			}
@@ -37,9 +38,12 @@ func TestResolvePC(t *testing.T) {
 				t.Fatalf("ResolvePC(%#x) = %#x does not symbolize", pc, got)
 			}
 		}
-		got, _ := vm.ResolvePC(isa.X86, cacheAddr)
+		got, stub, _ := vm.ResolvePC(isa.X86, cacheAddr)
 		if got != src {
 			t.Errorf("unit entry %#x resolved to %#x, want %#x", cacheAddr, got, src)
+		}
+		if stub {
+			t.Errorf("unit entry %#x classified as a trap stub", cacheAddr)
 		}
 		resolved++
 	}
@@ -49,15 +53,15 @@ func TestResolvePC(t *testing.T) {
 
 	// Guest text addresses are their own source.
 	entry := bin.Funcs[0].Entry[isa.X86]
-	if got, ok := vm.ResolvePC(isa.X86, entry); !ok || got != entry {
-		t.Errorf("text PC %#x resolved to (%#x, %v), want identity", entry, got, ok)
+	if got, stub, ok := vm.ResolvePC(isa.X86, entry); !ok || stub || got != entry {
+		t.Errorf("text PC %#x resolved to (%#x, stub %v, %v), want identity", entry, got, stub, ok)
 	}
 
 	// Unallocated cache space and arbitrary addresses do not resolve.
-	if _, ok := vm.ResolvePC(isa.X86, cache.Base+cache.Size-4); ok {
+	if _, _, ok := vm.ResolvePC(isa.X86, cache.Base+cache.Size-4); ok {
 		t.Error("unallocated cache tail resolved")
 	}
-	if _, ok := vm.ResolvePC(isa.X86, 0x10); ok {
+	if _, _, ok := vm.ResolvePC(isa.X86, 0x10); ok {
 		t.Error("junk address resolved")
 	}
 }

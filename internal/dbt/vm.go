@@ -297,25 +297,14 @@ func (vm *VM) Telemetry() *telemetry.Telemetry { return vm.tel }
 // ResolvePC maps an executing PC on ISA k to the guest source address it
 // executes on behalf of: PCs inside ISA k's code cache (translated units,
 // including their trap stubs) resolve through the owning translation
-// unit's source block; guest-text PCs resolve to themselves. It reports
-// false for addresses in neither region (or in a cache gap left by
-// alignment before the first unit). Single-goroutine, like every other VM
+// unit's source block; guest-text PCs resolve to themselves. stub reports
+// whether pc falls inside a unit's deferred trap-stub region — VM
+// dispatch overhead (chain traps awaiting patching) rather than
+// translated guest code; guest-text PCs are never stubs. ok is false for
+// addresses in neither region (or in a cache gap left by alignment
+// before the first unit). Single-goroutine, like every other VM
 // accessor: the sampling profiler calls it from the machine's exec hook.
-func (vm *VM) ResolvePC(k isa.Kind, pc uint32) (uint32, bool) {
-	if c := vm.caches[k]; c.Contains(pc) {
-		return c.UnitAt(pc)
-	}
-	if vm.Bin.FuncAt(k, pc) != nil {
-		return pc, true
-	}
-	return pc, false
-}
-
-// ResolvePCClass is ResolvePC plus a dispatch classification: stub
-// reports whether pc falls inside a translation unit's deferred trap-stub
-// region — VM dispatch overhead (chain traps awaiting patching) rather
-// than translated guest code. Guest-text PCs are never stubs.
-func (vm *VM) ResolvePCClass(k isa.Kind, pc uint32) (src uint32, stub, ok bool) {
+func (vm *VM) ResolvePC(k isa.Kind, pc uint32) (src uint32, stub, ok bool) {
 	if c := vm.caches[k]; c.Contains(pc) {
 		src, ok = c.UnitAt(pc)
 		return src, ok && c.StubAt(pc), ok

@@ -89,9 +89,8 @@ type RecorderConfig struct {
 	Profile func() (string, bool)
 	// HostConfig is marshaled into every bundle.
 	HostConfig any
-	// Dir, when set, dumps each bundle as incident-<id>-<rule>.json
-	// (rewritten at resolve) plus an append-only incidents.jsonl of
-	// open/resolve records.
+	// Dir, when set, dumps each bundle as incident-<id>-<rule>.json,
+	// written at open and rewritten at resolve.
 	Dir string
 	// Emit, when set, receives an EvPolicy event at open and resolve so
 	// incidents surface on the live /events stream.
@@ -267,9 +266,9 @@ func (r *Recorder) DumpErr() error {
 	return r.dumpErr
 }
 
-// dump writes the incident bundle artifact(s) under cfg.Dir: a pretty
-// JSON file per incident (rewritten at resolve so the final artifact
-// carries the resolution), and one line appended to incidents.jsonl.
+// dump writes the incident bundle artifact under cfg.Dir: a pretty JSON
+// file per incident, rewritten at resolve so the final artifact carries
+// the resolution.
 func (r *Recorder) dump(inc *Incident) {
 	if r.cfg.Dir == "" {
 		return
@@ -286,21 +285,7 @@ func (r *Recorder) dump(inc *Incident) {
 			return err
 		}
 		name := fmt.Sprintf("incident-%03d-%s.json", cp.ID, cp.Rule.Name)
-		if err := os.WriteFile(filepath.Join(r.cfg.Dir, name), buf, 0o644); err != nil {
-			return err
-		}
-		f, err := os.OpenFile(filepath.Join(r.cfg.Dir, "incidents.jsonl"),
-			os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		line, err := json.Marshal(cp)
-		if err != nil {
-			return err
-		}
-		_, err = f.Write(append(line, '\n'))
-		return err
+		return os.WriteFile(filepath.Join(r.cfg.Dir, name), buf, 0o644)
 	}()
 	if err != nil {
 		r.mu.Lock()

@@ -36,7 +36,7 @@ func TestReadyzGatesOnReadiness(t *testing.T) {
 		}
 		return true, "fleet prototypes warmed"
 	}
-	h, _ := obsrv.NewHandler(opts)
+	h := obsrv.NewHandler(opts)
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
@@ -60,7 +60,7 @@ func TestReadyzGatesOnReadiness(t *testing.T) {
 // /readyz degenerates to liveness.
 func TestReadyzDefaultAlwaysReady(t *testing.T) {
 	tel := telemetry.New()
-	h, _ := obsrv.NewHandler(testOptions(tel))
+	h := obsrv.NewHandler(testOptions(tel))
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 	if code, body := getBody(t, ts.URL+"/readyz"); code != 200 || !strings.HasPrefix(body, "ready") {
@@ -73,7 +73,7 @@ func TestReadyzDefaultAlwaysReady(t *testing.T) {
 // empty handlers.
 func TestHealthEndpointsWithoutEngine(t *testing.T) {
 	tel := telemetry.New()
-	h, _ := obsrv.NewHandler(testOptions(tel))
+	h := obsrv.NewHandler(testOptions(tel))
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 	for _, path := range []string{"/history", "/incidents", "/incidents/1"} {
@@ -96,7 +96,7 @@ func TestHealthEndpointsDelegate(t *testing.T) {
 	opts.Incidents = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, "incidents:"+r.URL.Path)
 	})
-	h, _ := obsrv.NewHandler(opts)
+	h := obsrv.NewHandler(opts)
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 

@@ -43,7 +43,7 @@ func TestConcurrentScrapesDuringExecution(t *testing.T) {
 	prof.BindTelemetry(vm.Telemetry())
 
 	mon := health.NewMonitor(health.Config{})
-	h, _ := obsrv.NewHandler(obsrv.Options{
+	h := obsrv.NewHandler(obsrv.Options{
 		Snapshot: mon.Latest,
 		Trace:    vm.Telemetry().Trace,
 		Profile:  func() (profiler.Report, bool) { return prof.Report(), true },

@@ -7,8 +7,9 @@
 // itself. The server never touches VM state directly: scrapes read
 // snapshots from Options.Snapshot (for a single VM, the last snapshot
 // its health monitor observed on the goroutine driving the VM), and
-// the SSE hub's fan-out is drop-oldest so a slow curl can never stall
-// translation or migration trap paths.
+// /events reads the tracer's own ring through a cursor, so a slow curl
+// loses the records the ring laps but can never stall translation or
+// migration trap paths.
 package obsrv
 
 import (
@@ -55,9 +56,9 @@ type Options struct {
 	// Snapshot supplies the latest telemetry snapshot (for a VM host,
 	// health.Monitor.Latest). ok=false means none has been published yet.
 	Snapshot func() (telemetry.Snapshot, bool)
-	// Trace, when set, feeds /events subscribers (its buffered ring is
-	// replayed as backlog on connect) and serves the ring at /timeline as
-	// Chrome trace-event JSON (loadable in ui.perfetto.dev).
+	// Trace, when set, feeds /events (its ring as backlog on connect, then
+	// live records) and serves the ring at /timeline as Chrome trace-event
+	// JSON (loadable in ui.perfetto.dev).
 	Trace *telemetry.Tracer
 	// Profile supplies the live profiler report for /profile.
 	Profile func() (profiler.Report, bool)
@@ -79,11 +80,6 @@ type Options struct {
 	// Incidents, when set, serves the incident flight recorder at
 	// /incidents and /incidents/{id} (health.Recorder.Handler).
 	Incidents http.Handler
-	// SSEBuffer overrides the per-subscriber ring capacity (tests).
-	SSEBuffer int
-	// SSEKeepalive overrides the idle-stream keepalive interval for
-	// /events (0 selects DefaultSSEKeepalive, negative disables).
-	SSEKeepalive time.Duration
 }
 
 // DefaultSSEKeepalive is how often an idle /events stream emits a
@@ -98,14 +94,8 @@ type Server struct {
 	cancel context.CancelFunc
 }
 
-// NewHandler builds the route mux. The returned hub is attached to
-// o.Trace (nil when no tracer was given).
-func NewHandler(o Options) (http.Handler, *EventHub) {
-	var hub *EventHub
-	if o.Trace != nil {
-		hub = NewEventHub(o.SSEBuffer)
-		o.Trace.AddSink(hub)
-	}
+// NewHandler builds the route mux.
+func NewHandler(o Options) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
@@ -208,7 +198,7 @@ func NewHandler(o Options) (http.Handler, *EventHub) {
 		}
 	})
 	mux.HandleFunc("/events", func(w http.ResponseWriter, r *http.Request) {
-		serveSSE(w, r, o.Trace, hub, o.SSEKeepalive)
+		serveSSE(w, r, o.Trace)
 	})
 	mux.HandleFunc("/timeline", func(w http.ResponseWriter, r *http.Request) {
 		if o.Trace == nil {
@@ -252,7 +242,7 @@ func NewHandler(o Options) (http.Handler, *EventHub) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux, hub
+	return mux
 }
 
 func latest(o Options) (telemetry.Snapshot, bool) {
@@ -262,12 +252,14 @@ func latest(o Options) (telemetry.Snapshot, bool) {
 	return o.Snapshot()
 }
 
-// serveSSE streams trace records: the tracer's buffered ring as backlog,
-// then live records until the client disconnects. Frames carry the record
-// ID as the SSE id; dropped records surface as comment lines so consumers
-// can detect gaps, and idle streams emit periodic ": keepalive" comments
-// so half-open connections don't time out.
-func serveSSE(w http.ResponseWriter, r *http.Request, tr *telemetry.Tracer, hub *EventHub, keepalive time.Duration) {
+// serveSSE streams trace records: the tracer's ring from its oldest
+// retained record as backlog, then live records until the client
+// disconnects, each once, in recording order. Frames carry the record ID
+// as the SSE id. Records the ring laps before this reader gets to them
+// surface as a comment line so consumers can detect the gap, and idle
+// streams emit periodic ": keepalive" comments so half-open connections
+// don't time out.
+func serveSSE(w http.ResponseWriter, r *http.Request, tr *telemetry.Tracer) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
@@ -276,59 +268,36 @@ func serveSSE(w http.ResponseWriter, r *http.Request, tr *telemetry.Tracer, hub 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	if hub == nil || tr == nil {
+	if tr == nil {
 		fmt.Fprint(w, ": no tracer attached\n\n")
 		fl.Flush()
 		return
 	}
-	sub := hub.Subscribe()
-	defer hub.Unsubscribe(sub)
-	if keepalive == 0 {
-		keepalive = DefaultSSEKeepalive
-	}
-	var tick <-chan time.Time
-	if keepalive > 0 {
-		t := time.NewTicker(keepalive)
-		defer t.Stop()
-		tick = t.C
-	}
-	// Backlog: subscribe first, then replay the ring, skipping any overlap
-	// delivered through the subscription while we replayed. IDs are
-	// unique but not ordered (a span's ID is taken when it starts), so the
-	// overlap is found by ID.
-	backlog := map[uint64]bool{}
-	for _, e := range tr.Records() {
-		writeSSE(w, e)
-		backlog[e.ID] = true
-	}
-	fl.Flush()
+	tick := time.NewTicker(DefaultSSEKeepalive)
+	defer tick.Stop()
+	// Records that rotated out before the client connected are not its
+	// loss: the backlog starts at the oldest retained record.
+	recs, cursor, _ := tr.Since(0)
 	for {
-		events, dropped := sub.Drain()
-		if dropped > 0 {
-			fmt.Fprintf(w, ": dropped %d events (slow consumer)\n\n", dropped)
-		}
-		wrote := dropped > 0
-		for _, e := range events {
-			if backlog[e.ID] {
-				continue
-			}
+		for _, e := range recs {
 			if err := writeSSE(w, e); err != nil {
 				return
 			}
-			wrote = true
 		}
-		if wrote {
-			fl.Flush()
-		}
+		fl.Flush()
 		select {
 		case <-r.Context().Done():
 			return
-		case <-sub.Notify():
-		case <-tick:
+		case <-tr.Wait(cursor):
+		case <-tick.C:
 			if _, err := fmt.Fprint(w, ": keepalive\n\n"); err != nil {
 				return
 			}
-			fl.Flush()
+		}
+		var dropped uint64
+		recs, cursor, dropped = tr.Since(cursor)
+		if dropped > 0 {
+			fmt.Fprintf(w, ": dropped %d events (slow consumer)\n\n", dropped)
 		}
 	}
 }
@@ -349,7 +318,7 @@ func New(addr string, o Options) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("obsrv: listen %s: %w", addr, err)
 	}
-	h, _ := NewHandler(o)
+	h := NewHandler(o)
 	// Request contexts derive from this base context so Shutdown can end
 	// otherwise-unbounded SSE streams.
 	ctx, cancel := context.WithCancel(context.Background())

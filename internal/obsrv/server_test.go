@@ -2,12 +2,14 @@ package obsrv_test
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -27,7 +29,7 @@ func TestEndpoints(t *testing.T) {
 	tel := telemetry.New()
 	tel.Reg.Counter("dbt.translations.x86").Add(42)
 	tel.Reg.Gauge("perf.x86.cpi").Set(1.5)
-	h, _ := obsrv.NewHandler(testOptions(tel))
+	h := obsrv.NewHandler(testOptions(tel))
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
@@ -95,7 +97,7 @@ func TestTenantEndpoints(t *testing.T) {
 	src.reg.Counter("dbt.translations.x86").Add(7)
 	opts := testOptions(tel)
 	opts.Tenants = src
-	h, _ := obsrv.NewHandler(opts)
+	h := obsrv.NewHandler(opts)
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
@@ -137,7 +139,7 @@ func TestTenantEndpoints(t *testing.T) {
 	}
 
 	// Without a source the drill-down is absent, not empty.
-	h2, _ := obsrv.NewHandler(testOptions(tel))
+	h2 := obsrv.NewHandler(testOptions(tel))
 	ts2 := httptest.NewServer(h2)
 	defer ts2.Close()
 	resp, err := http.Get(ts2.URL + "/tenants")
@@ -152,7 +154,7 @@ func TestTenantEndpoints(t *testing.T) {
 
 func TestMetricsBeforeFirstPublish(t *testing.T) {
 	mon := health.NewMonitor(health.Config{})
-	h, _ := obsrv.NewHandler(obsrv.Options{Snapshot: mon.Latest})
+	h := obsrv.NewHandler(obsrv.Options{Snapshot: mon.Latest})
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -174,31 +176,106 @@ func TestMetricsBeforeFirstPublish(t *testing.T) {
 	}
 }
 
-// TestSSEDropOldest pins the never-block contract: a subscriber that is
-// not drained absorbs unbounded emission by discarding its oldest events,
-// and Drain reports the loss.
+// gatedWriter is a streaming ResponseWriter whose Flush blocks until
+// gate is closed, standing in for a client that stops reading.
+type gatedWriter struct {
+	mu      sync.Mutex
+	buf     bytes.Buffer
+	hdr     http.Header
+	flushed chan struct{} // signalled (non-blocking) at every Flush
+	gate    chan struct{}
+}
+
+func (w *gatedWriter) Header() http.Header { return w.hdr }
+func (w *gatedWriter) WriteHeader(int)     {}
+
+func (w *gatedWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.buf.Write(p)
+}
+
+func (w *gatedWriter) Flush() {
+	select {
+	case w.flushed <- struct{}{}:
+	default:
+	}
+	<-w.gate
+}
+
+func (w *gatedWriter) String() string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.buf.String()
+}
+
+// TestSSEDropOldest pins the never-block contract: while a stalled
+// /events reader sits on its first flush, recording goes on unhindered
+// and the tracer's ring laps the reader. Once the reader resumes it gets
+// the retained records, oldest first, after a comment reporting how many
+// it lost.
 func TestSSEDropOldest(t *testing.T) {
-	hub := obsrv.NewEventHub(4)
-	sub := hub.Subscribe()
-	defer hub.Unsubscribe(sub)
-	for i := 1; i <= 10; i++ {
-		hub.Emit(telemetry.Record{ID: uint64(i), Name: telemetry.EvTranslate})
+	tr := telemetry.NewTracer(4)
+	tr.Emit(telemetry.Record{Name: telemetry.EvTranslate})
+	tr.Emit(telemetry.Record{Name: telemetry.EvTranslate})
+	h := obsrv.NewHandler(obsrv.Options{Trace: tr})
+
+	w := &gatedWriter{hdr: http.Header{}, flushed: make(chan struct{}, 1), gate: make(chan struct{})}
+	ctx, cancel := context.WithCancel(context.Background())
+	req := httptest.NewRequest("GET", "/events", nil).WithContext(ctx)
+	served := make(chan struct{})
+	go func() {
+		h.ServeHTTP(w, req)
+		close(served)
+	}()
+	defer func() { // release a stalled handler on failure paths too
+		cancel()
+		select {
+		case <-w.gate:
+		default:
+			close(w.gate)
+		}
+		<-served
+	}()
+	select {
+	case <-w.flushed: // backlog 1, 2 written; the reader is now stalled
+	case <-time.After(5 * time.Second):
+		t.Fatal("backlog never flushed")
 	}
-	events, dropped := sub.Drain()
-	if dropped != 6 {
-		t.Errorf("dropped = %d, want 6", dropped)
+
+	emitted := make(chan struct{})
+	go func() {
+		for i := 0; i < 10; i++ { // records 3..12; the ring keeps 9..12
+			tr.Emit(telemetry.Record{Name: telemetry.EvTranslate})
+		}
+		close(emitted)
+	}()
+	select {
+	case <-emitted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("recording blocked on a stalled /events reader")
 	}
-	if len(events) != 4 {
-		t.Fatalf("got %d events, want 4", len(events))
+
+	close(w.gate)
+	deadline := time.Now().Add(5 * time.Second)
+	for !strings.Contains(w.String(), "id: 12\n") {
+		if time.Now().After(deadline) {
+			t.Fatalf("stream never caught up:\n%s", w.String())
+		}
+		time.Sleep(time.Millisecond)
 	}
-	for i, e := range events {
-		if want := uint64(7 + i); e.ID != want {
-			t.Errorf("event %d: id %d, want %d (oldest must go first)", i, e.ID, want)
+	cancel()
+	<-served
+
+	var lines []string
+	for _, l := range strings.Split(w.String(), "\n") {
+		if strings.HasPrefix(l, "id: ") || strings.HasPrefix(l, ": dropped") {
+			lines = append(lines, l)
 		}
 	}
-	// Drained ring starts empty again.
-	if events, dropped = sub.Drain(); len(events) != 0 || dropped != 0 {
-		t.Errorf("second drain = %d events, %d dropped", len(events), dropped)
+	want := "[id: 1 id: 2 : dropped 6 events (slow consumer) id: 9 id: 10 id: 11 id: 12]"
+	if got := fmt.Sprint(lines); got != want {
+		t.Errorf("stream = %s, want %s", got, want)
 	}
 }
 
@@ -208,7 +285,7 @@ func TestSSEStream(t *testing.T) {
 	tel := telemetry.New()
 	tel.Trace.Emit(telemetry.Record{Name: telemetry.EvTranslate, ISA: "x86", Addr: 0x1000})
 	tel.Trace.Emit(telemetry.Record{Name: telemetry.EvRATMiss, ISA: "x86"})
-	h, _ := obsrv.NewHandler(testOptions(tel))
+	h := obsrv.NewHandler(testOptions(tel))
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 

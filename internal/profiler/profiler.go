@@ -43,14 +43,11 @@ const DefaultInterval = 64
 
 // Resolver maps an executing PC on ISA k to the guest source address it
 // executes on behalf of (identity for native text, unit-source for code
-// caches). It reports false when the PC belongs to no guest code.
-type Resolver func(k isa.Kind, pc uint32) (uint32, bool)
-
-// ClassResolver additionally classifies the PC: stub reports that it
-// falls inside a translation unit's trap-stub region, i.e. the sample
-// caught VM-dispatch overhead rather than translated guest code
-// (dbt.VM.ResolvePCClass).
-type ClassResolver func(k isa.Kind, pc uint32) (src uint32, stub, ok bool)
+// caches). stub reports that the PC falls inside a translation unit's
+// trap-stub region, i.e. the sample caught VM-dispatch overhead rather
+// than translated guest code. ok is false when the PC belongs to no
+// guest code (dbt.VM.ResolvePC).
+type Resolver func(k isa.Kind, pc uint32) (src uint32, stub, ok bool)
 
 // blockKey aggregates samples per guest basic block.
 type blockKey struct {
@@ -76,12 +73,11 @@ type agg struct {
 // taken from any goroutine (the observability server serves them live).
 type Profiler struct {
 	interval uint64
-	pending  uint64 // instructions since the last sample (VM goroutine only)
-	cycles   func() float64
+	pending  uint64      // instructions since the last sample (VM goroutine only)
+	model    *perf.Model // cycle source; nil counts instructions
 	last     float64
 	bin      *fatbin.Binary
 	resolve  Resolver
-	resolveC ClassResolver
 
 	mu        sync.Mutex
 	buckets   map[blockKey]*agg
@@ -111,32 +107,21 @@ func New(bin *fatbin.Binary, interval uint64) *Profiler {
 // Interval returns the sampling period in guest instructions.
 func (p *Profiler) Interval() uint64 { return p.interval }
 
-// SetResolver installs the execution-PC → guest-source mapping. The PSR
-// drivers wire dbt.VM.ResolvePC; native execution needs none (text PCs
-// symbolize directly).
+// SetResolver installs the execution-PC → guest-source mapping, which
+// also splits sampled cycles between translated guest code and VM
+// dispatch overhead (trap stubs). The PSR drivers wire dbt.VM.ResolvePC;
+// native execution needs none (text PCs symbolize directly).
 func (p *Profiler) SetResolver(r Resolver) { p.resolve = r }
 
-// SetClassResolver installs a classifying resolver (dbt.VM.ResolvePCClass)
-// that splits sampled cycles between translated guest code and VM
-// dispatch overhead (trap stubs). It takes precedence over SetResolver.
-func (p *Profiler) SetClassResolver(r ClassResolver) { p.resolveC = r }
-
 // BindModel attributes the timing model's simulated cycles instead of raw
-// instruction counts. Attach the model to the machine *before* the
-// profiler so every sample sees the cycles already charged for the
-// sampled instruction.
+// instruction counts: the model's cumulative cycle count is read at every
+// sample, and deltas between samples become the attributed cost. Without
+// a model, each instruction costs one cycle. Attach the model to the
+// machine *before* the profiler so every sample sees the cycles already
+// charged for the sampled instruction.
 func (p *Profiler) BindModel(mo *perf.Model) {
-	p.BindCycles(func() float64 { return mo.Cycles })
-}
-
-// BindCycles installs a cumulative simulated-cycle source read at every
-// sample; deltas between samples become the attributed cost. Without one,
-// each instruction costs one cycle.
-func (p *Profiler) BindCycles(f func() float64) {
-	p.cycles = f
-	if f != nil {
-		p.last = f()
-	}
+	p.model = mo
+	p.last = mo.Cycles
 }
 
 // Attach chains the profiler onto m's exec hook. Attach after any timing
@@ -191,8 +176,8 @@ func (p *Profiler) BindTelemetry(t *telemetry.Telemetry) {
 // reads VM state) happens before taking the aggregation lock.
 func (p *Profiler) sample(k isa.Kind, pc uint32) {
 	cost := float64(p.pending)
-	if p.cycles != nil {
-		c := p.cycles()
+	if p.model != nil {
+		c := p.model.Cycles
 		cost = c - p.last
 		p.last = c
 	}
@@ -200,10 +185,8 @@ func (p *Profiler) sample(k isa.Kind, pc uint32) {
 	p.pending = 0
 
 	src, stub, ok := pc, false, true
-	if p.resolveC != nil {
-		src, stub, ok = p.resolveC(k, pc)
-	} else if p.resolve != nil {
-		src, ok = p.resolve(k, pc)
+	if p.resolve != nil {
+		src, stub, ok = p.resolve(k, pc)
 	}
 	key := blockKey{k: k, fn: -1, bb: -1, stub: stub}
 	if ok && p.bin != nil {

@@ -112,9 +112,11 @@ const (
 )
 
 // Tracer records trace records into a bounded ring and fans them out to
-// sinks. Recording happens on VM trap paths and phase boundaries, never
-// per instruction, so a mutex is cheap enough; starting a span is
-// lock-free (an atomic ID allocation and a clock read).
+// sinks; readers such as the /events stream follow the ring itself with
+// a cursor (Since, Wait). Recording happens on VM trap paths and phase
+// boundaries, never per instruction, so a mutex is cheap enough;
+// starting a span is lock-free (an atomic ID allocation and a clock
+// read).
 //
 // Span recording is a switch on the tracer: a Telemetry's tracer starts
 // with it off (EnableSpans turns it on), and StartSpan then returns the
@@ -137,6 +139,9 @@ type Tracer struct {
 	cap    int
 	total  uint64
 	sinks  []Sink
+	// wake, when non-nil, is closed by the next record: the channel Wait
+	// hands to readers that have consumed everything recorded so far.
+	wake chan struct{}
 }
 
 // NewTracer returns a tracer keeping the last capacity records (<= 0
@@ -220,6 +225,10 @@ func (t *Tracer) record(r Record) {
 		t.ring[t.next] = r
 		t.next = (t.next + 1) % t.cap
 	}
+	if t.wake != nil {
+		close(t.wake)
+		t.wake = nil
+	}
 	sinks := t.sinks
 	t.mu.Unlock()
 	for _, s := range sinks {
@@ -262,6 +271,57 @@ func (t *Tracer) recordsLocked() []Record {
 	out := make([]Record, 0, len(t.ring))
 	out = append(out, t.ring[t.next:]...)
 	return append(out, t.ring[:t.next]...)
+}
+
+// Since is the ring's read cursor. It returns the retained records
+// recorded after the first seq, in recording order, and the cursor to
+// pass next (the number of records recorded so far). dropped counts the
+// records after seq that have already rotated out of the ring, so a
+// reader the ring laps learns how much it lost. Start a cursor at 0.
+func (t *Tracer) Since(seq uint64) (recs []Record, next, dropped uint64) {
+	if t == nil {
+		return nil, seq, 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if seq >= t.total {
+		return nil, t.total, 0
+	}
+	if oldest := t.total - uint64(len(t.ring)); seq < oldest {
+		dropped, seq = oldest-seq, oldest
+	}
+	n := int(t.total - seq)
+	recs = make([]Record, n)
+	start := (t.next + len(t.ring) - n) % len(t.ring)
+	if k := copy(recs, t.ring[start:]); k < n {
+		copy(recs[k:], t.ring[:n-k])
+	}
+	return recs, t.total, dropped
+}
+
+var closedWake = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// Wait returns a channel that is closed once more than seq records exist,
+// so a reader holding Since's cursor can block until there is more to
+// read. Recording never waits on readers. A nil tracer's channel never
+// closes.
+func (t *Tracer) Wait(seq uint64) <-chan struct{} {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.total > seq {
+		return closedWake
+	}
+	if t.wake == nil {
+		t.wake = make(chan struct{})
+	}
+	return t.wake
 }
 
 // Tail returns the most recent n buffered records in recording order
